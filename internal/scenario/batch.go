@@ -9,16 +9,18 @@ import (
 	"repro/internal/worksite"
 )
 
-// batchTemplateSeed roots the shared bundle's key material. Any seed works:
-// key bytes never reach simulation-observable output (the worksim
-// OpenBatch-vs-Open differential test locks this), so per-seed sessions built
-// from the bundle stay byte-identical to independently built ones.
+// batchTemplateSeed roots every batch's key material, so every session —
+// a batch of one from Build or worksim.Open included — forks channels keyed
+// from this seed. Any seed works: key bytes never reach simulation-observable
+// output (worksim's catalog golden and OpenBatch byte-identity tests lock
+// this).
 const batchTemplateSeed int64 = 0
 
 // Batch compiles one spec into shareable commissioned state — validated
 // spec, security bundle (CA, identities, established channels) — and builds
-// arbitrarily many cheap per-seed sessions from it. This is how a seed sweep
-// stops paying for keygen and four handshakes per seed.
+// arbitrarily many cheap per-seed sessions from it. Every scenario session
+// is commissioned through a Batch: Build and Run are a batch of one, and a
+// seed sweep pays for keygen and four handshakes once rather than per seed.
 //
 // A Batch is immutable after NewBatch and safe for concurrent Build/Run
 // calls from pool workers.
@@ -43,10 +45,44 @@ func NewBatch(spec Spec) (*Batch, error) {
 // Spec returns the batch's compiled spec.
 func (b *Batch) Spec() Spec { return b.spec }
 
-// Build compiles one per-seed session over the shared commissioned state,
-// with the same contract as the package-level Build.
+// Build compiles one per-seed session over the batch's commissioned state
+// (see the package-level Build for the contract).
 func (b *Batch) Build(seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
-	return buildShared(b.spec, b.shared, seed, d)
+	spec := b.spec
+	if d <= 0 {
+		return nil, nil, fmt.Errorf("scenario %q: duration must be positive, got %v", spec.Name, d)
+	}
+	sess, err := worksite.NewSessionShared(spec.Config(seed), b.shared)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+	}
+	sess.SetHorizon(d)
+	site := sess.Site()
+	c := attack.NewCampaign()
+	c.OnPhase = func(e attack.PhaseEvent) {
+		sess.EmitAttackPhase(e.At, e.Attack, e.Active)
+	}
+	for i, a := range spec.Attacks {
+		cls, ok := lookupAttack(a.Name)
+		if !ok {
+			// NewBatch's Validate caught unknown names already; keep the
+			// guard for attack slices mutated after validation.
+			return nil, nil, fmt.Errorf("scenario %q: attacks[%d]: unknown attack class %q", spec.Name, i, a.Name)
+		}
+		ctx := ArmContext{
+			Site:     site,
+			Campaign: c,
+			Start:    time.Duration(a.StartFrac * float64(d)),
+			Stop:     time.Duration(a.StopFrac * float64(d)),
+			Duration: d,
+			Params:   a.Params,
+		}
+		if err := cls.arm(ctx); err != nil {
+			return nil, nil, fmt.Errorf("scenario %q: arm %s: %w", spec.Name, a.Name, err)
+		}
+	}
+	c.Schedule(site.Scheduler())
+	return sess, c, nil
 }
 
 // Run builds one per-seed session and executes it for d of simulated time,

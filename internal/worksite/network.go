@@ -47,7 +47,7 @@ const (
 	CommandClearStops = "clear-stops"
 )
 
-func (s *Site) commissionNetwork() error {
+func (s *Site) commissionNetwork(sh *SharedSecurity) error {
 	type radioSpec struct {
 		id  radio.NodeID
 		pos func() geo.Vec
@@ -95,7 +95,7 @@ func (s *Site) commissionNetwork() error {
 		s.commissionIDS()
 	}
 	if s.cfg.Profile.SecureChannels {
-		if err := s.commissionPKI(); err != nil {
+		if err := s.commissionPKI(sh.bundle); err != nil {
 			return err
 		}
 	}
@@ -107,42 +107,33 @@ func (s *Site) staticPos(p geo.Vec) func() geo.Vec {
 	return func() geo.Vec { return p }
 }
 
-// commissionPKI stands up the site CA and establishes pairwise secure
-// channels. Pairing happens at commissioning over a trusted link (the depot),
-// mirroring real fleet onboarding; subsequent records travel over the air.
-// Under a shared bundle (batched sessions) the expensive half — keygen,
-// issuance, handshakes — happened once in CommissionSecurity, and this
-// session only forks the established channels.
-func (s *Site) commissionPKI() error {
-	if s.shared != nil && s.shared.bundle != nil {
-		s.ca = s.shared.bundle.ca
-		// Sorted keys: should two forks ever fail, the reported error must
-		// not depend on map iteration order.
-		keys := make([]chanKey, 0, len(s.shared.bundle.channels))
-		for k := range s.shared.bundle.channels {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].local != keys[j].local {
-				return keys[i].local < keys[j].local
-			}
-			return keys[i].peer < keys[j].peer
-		})
-		for _, k := range keys {
-			fork, err := s.shared.bundle.channels[k].Fork()
-			if err != nil {
-				return fmt.Errorf("worksite: fork channel %s->%s: %w", k.local, k.peer, err)
-			}
-			s.channels[k] = fork
-		}
-		return nil
-	}
-	b, err := buildSecurity(s.cfg.DroneEnabled, s.rand, s.sched.Now)
-	if err != nil {
-		return err
-	}
+// commissionPKI adopts the commissioned security bundle: the site CA and
+// the pairwise secure channels, established over a trusted link (the depot)
+// at commissioning, mirroring real fleet onboarding; subsequent records
+// travel over the air. The expensive half — keygen, issuance, handshakes —
+// happened once in CommissionSecurity, so this session only forks the
+// established channels.
+func (s *Site) commissionPKI(b *securityBundle) error {
 	s.ca = b.ca
-	s.channels = b.channels
+	// Sorted keys: should two forks ever fail, the reported error must not
+	// depend on map iteration order.
+	keys := make([]chanKey, 0, len(b.channels))
+	for k := range b.channels {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].local != keys[j].local {
+			return keys[i].local < keys[j].local
+		}
+		return keys[i].peer < keys[j].peer
+	})
+	for _, k := range keys {
+		fork, err := b.channels[k].Fork()
+		if err != nil {
+			return fmt.Errorf("worksite: fork channel %s->%s: %w", k.local, k.peer, err)
+		}
+		s.channels[k] = fork
+	}
 	return nil
 }
 
@@ -155,9 +146,9 @@ type securityBundle struct {
 
 // buildSecurity is the seed-threaded security commissioning: CA keygen,
 // identity issuance, and the pairwise handshakes, drawing from r's "pki" and
-// "handshakes" streams. Both the per-session path and the shared batch
-// template go through here, so the two can never drift.
-func buildSecurity(droneEnabled bool, r *rng.Rand, now func() time.Duration) (*securityBundle, error) {
+// "handshakes" streams. The handshakes run at virtual time zero, the
+// commissioning instant (securechan's nil Now).
+func buildSecurity(droneEnabled bool, r *rng.Rand) (*securityBundle, error) {
 	ca, err := pki.NewCA("agrarsense-site-ca", r.Derive("pki"))
 	if err != nil {
 		return nil, fmt.Errorf("worksite: %w", err)
@@ -200,11 +191,9 @@ func buildSecurity(droneEnabled bool, r *rng.Rand, now func() time.Duration) (*s
 	for _, p := range pairs {
 		init := securechan.NewInitiator(idents[p[0]], verifier, securechan.Options{
 			Rand: hr.Derive(string(p[0]) + ">" + string(p[1])),
-			Now:  now,
 		})
 		resp := securechan.NewResponder(idents[p[1]], verifier, securechan.Options{
 			Rand: hr.Derive(string(p[1]) + "<" + string(p[0])),
-			Now:  now,
 		})
 		if err := runPairing(init, resp); err != nil {
 			return nil, fmt.Errorf("worksite: pairing %s-%s: %w", p[0], p[1], err)

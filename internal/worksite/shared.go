@@ -1,25 +1,23 @@
 package worksite
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // SharedSecurity is the seed-invariant half of security commissioning: the
 // site CA, the issued machine identities, and the pairwise channels already
-// taken through their handshakes. A batch builds it once; every per-seed
-// session then forks the established channels instead of re-running keygen,
-// issuance and four SIGMA handshakes.
+// taken through their handshakes. Every site is built over one: New
+// commissions a bundle of its own, and a batch commissions one bundle and
+// builds every per-seed session over it. Each site forks the established
+// channels rather than re-running keygen, issuance and four SIGMA handshakes.
 //
 // Sharing key material across seeds is sound because no simulation-observable
 // byte depends on it: record lengths are key-independent, replay and decrypt
 // rejections carry constant or sequence-derived detail, and packet-drop
-// decisions are position- and rng-driven. Skipping the per-session "pki" and
-// "handshakes" rng streams is equally invisible — rng.Derive children are
-// independent, so sibling streams never shift. The OpenBatch-vs-Open
-// differential test in the worksim facade locks both claims byte for byte.
+// decisions are position- and rng-driven. Rooting the bundle at another seed
+// than the session's is equally invisible: the session never draws from its
+// own "pki" and "handshakes" streams, and rng.Derive children are
+// independent, so sibling streams never shift. The catalog golden and the
+// OpenBatch byte-identity test in the worksim facade lock both claims byte
+// for byte.
 //
 // The bundle is immutable after CommissionSecurity returns and safe for
 // concurrent forking from pool workers.
@@ -29,10 +27,9 @@ type SharedSecurity struct {
 	bundle       *securityBundle
 }
 
-// CommissionSecurity builds the shareable security bundle for cfg. For a
-// profile without secure channels the bundle carries nothing and sessions
-// commission as usual. The handshakes run on the commissioning clock
-// (virtual time zero), exactly when every session would run its own.
+// CommissionSecurity builds the security bundle for cfg, rooted at cfg's
+// seed. For a profile without secure channels the bundle carries nothing.
+// The handshakes run at virtual time zero, the commissioning instant.
 func CommissionSecurity(cfg Config) (*SharedSecurity, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -41,7 +38,7 @@ func CommissionSecurity(cfg Config) (*SharedSecurity, error) {
 	if !sh.secured {
 		return sh, nil
 	}
-	b, err := buildSecurity(cfg.DroneEnabled, rng.New(cfg.Seed), func() time.Duration { return 0 })
+	b, err := buildSecurity(cfg.DroneEnabled, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -49,24 +46,12 @@ func CommissionSecurity(cfg Config) (*SharedSecurity, error) {
 	return sh, nil
 }
 
-// NewShared commissions a worksite like New, adopting the shared security
-// bundle instead of re-running keygen and handshakes. A nil bundle is the
-// plain New path.
-func NewShared(cfg Config, sh *SharedSecurity) (*Site, error) {
-	if sh != nil {
-		if sh.droneEnabled != cfg.DroneEnabled {
-			return nil, fmt.Errorf("worksite: shared security was commissioned with droneEnabled=%v, config wants %v", sh.droneEnabled, cfg.DroneEnabled)
-		}
-		if cfg.Profile.SecureChannels && !sh.secured {
-			return nil, fmt.Errorf("worksite: config wants secure channels but the shared bundle was commissioned without them")
-		}
-	}
-	return newSite(cfg, sh)
-}
-
-// NewSessionShared is NewSession over a shared security bundle.
+// NewSessionShared is NewSession over a commissioned security bundle: the
+// session forks the bundle's established channels. It fails when the bundle
+// was commissioned for a different drone setting, or without the secure
+// channels cfg wants.
 func NewSessionShared(cfg Config, sh *SharedSecurity) (*Session, error) {
-	site, err := NewShared(cfg, sh)
+	site, err := newSite(cfg, sh)
 	if err != nil {
 		return nil, err
 	}

@@ -62,3 +62,44 @@ func TestConfigValidateAcceptsDefault(t *testing.T) {
 		t.Fatalf("worker-free drone-free config rejected: %v", err)
 	}
 }
+
+// TestNewSessionSharedRejectsMismatchedBundle drives the guards of the
+// bundle-taking constructor, the only path a site gets its security state
+// through: a bundle commissioned for another drone setting, or without the
+// secure channels the config wants, must be refused.
+func TestNewSessionSharedRejectsMismatchedBundle(t *testing.T) {
+	cases := []struct {
+		name    string
+		bundle  func(c *Config)
+		wantSub string // "" = accepted
+	}{
+		{"matching bundle", func(c *Config) {}, ""},
+		{"bundle without drone", func(c *Config) { c.DroneEnabled = false }, "droneEnabled=false, config wants true"},
+		{"bundle without secure channels", func(c *Config) { c.Profile = Unsecured() }, "wants secure channels"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(1)
+			cfg.Profile = Secured()
+			bcfg := cfg
+			tc.bundle(&bcfg)
+			sh, err := CommissionSecurity(bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewSessionShared(cfg, sh)
+			if tc.wantSub == "" {
+				if err != nil {
+					t.Fatalf("matching bundle refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("NewSessionShared accepted a bundle with %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not name the mismatch (want substring %q)", err, tc.wantSub)
+			}
+		})
+	}
+}

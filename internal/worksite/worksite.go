@@ -224,10 +224,6 @@ type Site struct {
 	// string per observed packet.
 	linkNames map[chanKey]string
 
-	// shared, when non-nil, is the batch's pre-commissioned security bundle;
-	// commissionPKI forks its established channels instead of handshaking.
-	shared *SharedSecurity
-
 	droneDets   []sensors.Detection
 	droneDetsAt time.Duration
 
@@ -303,12 +299,28 @@ func (p missionPhase) String() string {
 	}
 }
 
-// New builds and commissions a worksite from cfg.
-func New(cfg Config) (*Site, error) { return newSite(cfg, nil) }
+// New builds and commissions a worksite from cfg: it commissions a
+// security bundle for cfg and builds the site over it.
+func New(cfg Config) (*Site, error) {
+	sh, err := CommissionSecurity(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newSite(cfg, sh)
+}
 
+// newSite builds a worksite over a commissioned security bundle, the only
+// way a site gets its security state. The bundle must match cfg's drone and
+// secure-channel settings.
 func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if sh.droneEnabled != cfg.DroneEnabled {
+		return nil, fmt.Errorf("worksite: shared security was commissioned with droneEnabled=%v, config wants %v", sh.droneEnabled, cfg.DroneEnabled)
+	}
+	if cfg.Profile.SecureChannels && !sh.secured {
+		return nil, fmt.Errorf("worksite: config wants secure channels but the shared bundle was commissioned without them")
 	}
 	r := rng.New(cfg.Seed)
 	grid, err := geo.NewGrid(cfg.Cols, cfg.Rows, cfg.CellSizeM)
@@ -325,7 +337,6 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		channels: make(map[chanKey]*securechan.Channel),
 		mission:  phaseToHarvest,
 		intern:   make(internTable),
-		shared:   sh,
 	}
 	s.sendEnc = json.NewEncoder(&s.sendBuf)
 	s.ticksPerSec = ticksPerSecond(cfg.TickPeriod)
@@ -345,7 +356,7 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 	if err := s.commissionActors(); err != nil {
 		return nil, err
 	}
-	if err := s.commissionNetwork(); err != nil {
+	if err := s.commissionNetwork(sh); err != nil {
 		return nil, err
 	}
 	s.commissionControl()

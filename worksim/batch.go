@@ -11,9 +11,9 @@ import (
 // Batch is a set of per-seed sessions over one commissioned scenario:
 // OpenBatch builds and commissions the expensive shared state (validated
 // spec, PKI material, established secure channels) once, then forks a cheap
-// session per seed. Each session carries the determinism contract of Open —
-// a batched session's report and event stream are byte-identical to an
-// independent Open of the same (Scenario, seed, horizon, profile).
+// session per seed. Open is the batch of one, so a batched session's report
+// and event stream are byte-identical to an Open of the same (Scenario,
+// seed, horizon, profile).
 type Batch struct {
 	seeds    []int64
 	sessions []*Session
@@ -29,11 +29,21 @@ func OpenBatch(spec Scenario, seeds []int64, opts ...Option) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("worksim: OpenBatch needs at least one seed")
 	}
+	return openBatch(spec, seeds, opts)
+}
+
+// openBatch resolves opts against spec, commissions it once through
+// scenario.NewBatch and builds one session per seed with the options'
+// observers wired. Nil seeds is Open's batch of one, at the WithSeed seed;
+// otherwise the seeds are the batch's and WithSeed is refused.
+func openBatch(spec Scenario, seeds []int64, opts []Option) (*Batch, error) {
 	c := sessionConfig{seed: DefaultSeed}
 	for _, opt := range opts {
 		opt(&c)
 	}
-	if c.seedSet {
+	if seeds == nil {
+		seeds = []int64{c.seed}
+	} else if c.seedSet {
 		return nil, fmt.Errorf("worksim: OpenBatch got WithSeed; seeds are the batch argument")
 	}
 	if c.horizon <= 0 {
@@ -58,6 +68,8 @@ func OpenBatch(spec Scenario, seeds []int64, opts ...Option) (*Batch, error) {
 		}
 		s := &Session{inner: inner}
 		if c.sample > 0 {
+			// The exact observer sweep timeseries use, so Session.Timeseries
+			// and SeedRun.Timeseries can never drift on policy or fields.
 			inner.Subscribe(campaign.SampleObserver(c.sample, &s.series))
 		}
 		for _, o := range c.observers {
@@ -80,7 +92,7 @@ func (b *Batch) Session(i int) *Session { return b.sessions[i] }
 
 // Run executes every session to its horizon sequentially, in seed order, and
 // returns the reports in the same order. Each report is byte-identical to
-// the same seed run through Open + Run.
+// the same seed run through Open + Run, the batch of one.
 func (b *Batch) Run(ctx context.Context) ([]Report, error) {
 	reports := make([]Report, 0, len(b.sessions))
 	for i, s := range b.sessions {

@@ -63,12 +63,12 @@ func sessionDigest(t *testing.T, s *worksim.Session, w *trace.Writer, buf *bytes
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestOpenBatchByteIdentity is the differential half of the batching
-// tentpole: for every (scenario, profile, seed) probed, a session forked
-// from an OpenBatch shared commission must produce report and trace bytes
-// identical to an independent Open of the same run — proving the shared PKI
-// material, forked channels, and skipped per-seed handshakes are invisible
-// to every observable byte.
+// TestOpenBatchByteIdentity checks that sharing a commission is invisible:
+// for every (scenario, profile, seed) probed, each of N sessions forked
+// from one OpenBatch bundle must produce report and trace bytes identical
+// to Open of the same run, which is a batch of one. Sibling forks of one
+// bundle must not disturb each other, and the batch's seed axis must
+// reach every session exactly as WithSeed does.
 func TestOpenBatchByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential batch capture is not -short friendly")

@@ -4,8 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/campaign"
-	"repro/internal/scenario"
 	"repro/internal/worksite"
 	"repro/worksim/event"
 )
@@ -20,7 +18,8 @@ const (
 	DefaultHorizon = 10 * time.Minute
 )
 
-// sessionConfig is the option-resolved state Open builds a session from.
+// sessionConfig is the option-resolved state Open and OpenBatch build
+// sessions from.
 type sessionConfig struct {
 	seed      int64
 	seedSet   bool // WithSeed was given (OpenBatch rejects it)
@@ -85,36 +84,13 @@ type Session struct {
 // horizon and armed, and the session's event stream is wired. Options
 // default to DefaultSeed, the scenario's own security profile, and — for the
 // horizon — the spec's declared Horizon when it has one, DefaultHorizon
-// otherwise.
+// otherwise. Open is a batch of one: OpenBatch at the WithSeed seed.
 func Open(spec Scenario, opts ...Option) (*Session, error) {
-	c := sessionConfig{seed: DefaultSeed}
-	for _, opt := range opts {
-		opt(&c)
-	}
-	if c.horizon <= 0 {
-		if spec.Horizon > 0 {
-			c.horizon = spec.Horizon
-		} else {
-			c.horizon = DefaultHorizon
-		}
-	}
-	if c.profile != nil {
-		spec = spec.WithProfile(*c.profile)
-	}
-	inner, _, err := scenario.Build(spec, c.seed, c.horizon)
+	b, err := openBatch(spec, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{inner: inner}
-	if c.sample > 0 {
-		// The exact observer sweep timeseries use, so Session.Timeseries and
-		// SeedRun.Timeseries can never drift on policy or fields.
-		inner.Subscribe(campaign.SampleObserver(c.sample, &s.series))
-	}
-	for _, o := range c.observers {
-		inner.Subscribe(o)
-	}
-	return s, nil
+	return b.sessions[0], nil
 }
 
 // Subscribe registers an observer for the session's event stream; equivalent
