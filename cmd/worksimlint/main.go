@@ -1,16 +1,12 @@
 // Command worksimlint runs the repository's static-analysis suite — the
-// seven analyzers that make the simulator's core invariants structural:
-// determinism (no wall clock / ambient randomness / map-ordered output in
-// simulation packages), facadeboundary (cmd/ and examples/ use only the
-// public repro/worksim... façade; internal/ never imports it back),
+// five analyzers for the invariants that no test or `go vet` check already
+// measures: determinism (no wall clock / ambient randomness / map-ordered
+// output in simulation packages), facadeboundary (cmd/ and examples/ use
+// only the public repro/worksim... façade; internal/ never imports it back),
 // ctxdiscipline (leading context.Context on exported blocking façade APIs;
-// //worksim:tickloop loops check cancellation), hotpath (allocation sources
-// inside //worksim:hotpath functions), gohygiene (every go statement in the
-// simulation packages is join-tracked), syncmisuse (sync primitives copied
-// by value, fields mixing atomic and plain access, time.Sleep in tick
-// loops), and escapebudget (the gc compiler's own escape/inlining
-// diagnostics gated per hot-path function against lint/escape_budget.json
-// with ratchet semantics).
+// //worksim:tickloop loops check cancellation), gohygiene (every go
+// statement in the simulation packages is join-tracked), and syncmisuse
+// (fields mixing atomic and plain access, time.Sleep in tick loops).
 //
 // Usage:
 //
@@ -18,7 +14,6 @@
 //	worksimlint -list           # list the analyzers, then exit
 //	worksimlint -json           # machine-readable diagnostics
 //	worksimlint -audit          # emit the //worksim:allow suppression ledger
-//	worksimlint -update-budget  # re-record lint/escape_budget.json, then exit
 //
 // Diagnostics print as file:line:col: [analyzer] message — sorted by
 // (file, line, col, analyzer) and root-relative, so two runs over the same
@@ -28,10 +23,6 @@
 // `//worksim:allow <reason>`; -audit prints every such directive with the
 // analyzers it suppresses as JSON and fails on directives that are bare or
 // suppress nothing, so the exception inventory stays reviewable.
-//
-// The escapebudget analyzer ratchets in both directions: a hot-path
-// function that gains a heap escape fails, and one that loses an escape
-// also fails until the improvement is locked in with -update-budget.
 //
 // worksimlint deliberately imports only repro/internal/analysis: it is a
 // build-time tool, not a simulation client, so the facadeboundary rule
@@ -48,11 +39,9 @@ import (
 
 func main() {
 	var (
-		list         = flag.Bool("list", false, "list the analyzer suite, then exit")
-		jsonOut      = flag.Bool("json", false, "emit diagnostics as JSON")
-		exitZero     = flag.Bool("exit-zero", false, "always exit 0 (report-only mode)")
-		audit        = flag.Bool("audit", false, "emit the //worksim:allow suppression ledger as JSON; fail on bare or orphaned directives")
-		updateBudget = flag.Bool("update-budget", false, "re-record lint/escape_budget.json for the loaded packages, then exit")
+		list    = flag.Bool("list", false, "list the analyzer suite, then exit")
+		jsonOut = flag.Bool("json", false, "emit diagnostics as JSON")
+		audit   = flag.Bool("audit", false, "emit the //worksim:allow suppression ledger as JSON; fail on bare or orphaned directives")
 	)
 	flag.Parse()
 
@@ -72,15 +61,6 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if *updateBudget {
-		n, err := analysis.UpdateEscapeBudget(root, pkgs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "worksimlint: recorded escape budgets for %d hot-path function(s) in %s\n", n, analysis.EscapeBudgetPath)
-		return
-	}
-
 	if *audit {
 		report, failures, err := analysis.Audit(root, pkgs, analysis.All())
 		if err != nil {
@@ -94,14 +74,12 @@ func main() {
 		}
 		if len(failures) > 0 {
 			fmt.Fprintf(os.Stderr, "worksimlint: %d suppression-ledger failure(s)\n", len(failures))
-			if !*exitZero {
-				os.Exit(1)
-			}
+			os.Exit(1)
 		}
 		return
 	}
 
-	diags, err := analysis.RunRoot(root, pkgs, analysis.All())
+	diags, err := analysis.Run(pkgs, analysis.All())
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -117,9 +95,7 @@ func main() {
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "worksimlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		if !*exitZero {
-			os.Exit(1)
-		}
+		os.Exit(1)
 	}
 }
 

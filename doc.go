@@ -76,12 +76,13 @@
 // Everything under internal/ is engine: free to evolve, reachable only
 // through the façade. The cmd/ binaries and examples/ import exclusively
 // repro/worksim... packages — a boundary enforced, along with the
-// determinism, context-discipline and hot-path-allocation invariants, by
-// the custom static-analysis suite in internal/analysis, run as a required
-// CI step via `go run ./cmd/worksimlint ./...`. Three comment directives
-// steer it: //worksim:allow <reason> (audited suppression),
-// //worksim:hotpath (zero-alloc tick path) and //worksim:tickloop (loop
-// that must observe ctx cancellation). See the README's "Static analysis"
+// determinism, context-discipline and goroutine-join invariants, by the
+// custom static-analysis suite in internal/analysis, run as a required CI
+// step via `go run ./cmd/worksimlint ./...`. Two comment directives steer
+// it: //worksim:allow <reason> (audited suppression) and //worksim:tickloop
+// (loop that must observe ctx cancellation). The zero-allocation hot path
+// is held by testing.AllocsPerRun locks, not by the linter. See the
+// README's "Static analysis"
 // section, plus the architecture overview, the package map and the
 // stable-vs-internal table.
 package repro

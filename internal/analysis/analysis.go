@@ -1,8 +1,7 @@
 // Package analysis is the static-analysis layer of the repository: a small
 // analyzer framework in the spirit of golang.org/x/tools/go/analysis (which
-// the build environment does not vendor), plus the seven worksim analyzers
-// that make the simulator's core invariants structural rather than
-// empirical:
+// the build environment does not vendor), plus the five worksim analyzers
+// for the invariants that no test or `go vet` check already measures:
 //
 //   - determinism: no wall clock, no ambient randomness, no map-ordered
 //     output inside the simulation packages (byte-reproducible runs).
@@ -10,23 +9,21 @@
 //     repro/worksim..., and internal/ never imports the façade back.
 //   - ctxdiscipline: exported blocking APIs of the façade take a leading
 //     context.Context, and //worksim:tickloop loops check cancellation.
-//   - hotpath: //worksim:hotpath functions (the zero-alloc tick path) are
-//     screened for allocation sources at the offending line.
 //   - gohygiene: every go statement in the simulation packages is
 //     join-tracked (WaitGroup-style Done, channel send/close, or an
 //     observed context), so no goroutine outlives its owner invisibly.
-//   - syncmisuse: sync primitives copied by value, struct fields accessed
-//     both atomically and plainly, and time.Sleep inside tick loops.
-//   - escapebudget: the gc compiler's own escape-analysis and inlining
-//     diagnostics (go build -gcflags=-m=2), gated per //worksim:hotpath
-//     function against the checked-in budgets in lint/escape_budget.json
-//     with ratchet semantics — both a new escape and an unrecorded
-//     improvement fail, so optimization wins get locked in.
+//   - syncmisuse: struct fields accessed both atomically and plainly, and
+//     time.Sleep inside tick loops. (Copied locks are `go vet`'s copylocks
+//     check.)
 //
-// Three comment directives steer the analyzers:
+// The zero-allocation claims of the tick, record, IDS and sensing paths are
+// not screened here: testing.AllocsPerRun locks in internal/worksite,
+// internal/securechan, internal/ids and internal/sensors measure them
+// directly.
+//
+// Two comment directives steer the analyzers:
 //
 //	//worksim:allow <reason>    suppress diagnostics on this or the next line
-//	//worksim:hotpath           mark a function as part of the zero-alloc tick path
 //	//worksim:tickloop          mark a loop that must observe ctx cancellation
 //
 // An allow directive without a reason suppresses nothing and is itself
@@ -45,23 +42,14 @@ import (
 )
 
 // An Analyzer describes one static check. Run inspects a single type-checked
-// package via the Pass and reports findings with Pass.Reportf. Module-level
-// analyzers set RunModule instead and see the whole loaded package set at
-// once.
+// package via the Pass and reports findings with Pass.Reportf.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and CLI listings.
 	Name string
 	// Doc is the one-paragraph description shown by `worksimlint -list`.
 	Doc string
 	// Run performs the check on one package. It must not retain the Pass.
-	// Nil for module-level analyzers.
 	Run func(*Pass) error
-	// RunModule, when set, runs once over the whole loaded module instead
-	// of per package. root is the module root directory; analyzers that
-	// consult external ground truth (the compiler, checked-in budget files)
-	// resolve paths against it. RunModule analyzers only execute under
-	// RunRoot — Run (rootless, used by fixtures) skips them.
-	RunModule func(root string, pkgs []*Package) ([]Diagnostic, error)
 }
 
 // A Diagnostic is one finding, already resolved to a file position.
@@ -104,8 +92,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// directives are the //worksim:* comment markers of one package, indexed for
-// the driver (allow) and the analyzers (hotpath, tickloop).
+// directives are the //worksim:allow markers of one package, indexed for the
+// driver.
 type directives struct {
 	// allow maps file -> line -> reason for well-formed allow directives.
 	// The directive suppresses diagnostics on its own line and, when it
@@ -117,8 +105,7 @@ type directives struct {
 
 const (
 	allowPrefix       = "//worksim:allow"
-	HotpathDirective  = "//worksim:hotpath"
-	TickloopDirective = "//worksim:tickloop"
+	tickloopDirective = "//worksim:tickloop"
 )
 
 // collectDirectives scans the comments of files for //worksim:allow markers.
@@ -170,10 +157,10 @@ func (d directives) suppressed(pos token.Position) bool {
 	return ok
 }
 
-// HasDirective reports whether the comment group contains the given
-// stand-alone directive (e.g. //worksim:hotpath) as a whole comment line,
+// hasDirective reports whether the comment group contains the given
+// stand-alone directive (e.g. //worksim:tickloop) as a whole comment line,
 // optionally followed by explanatory text after a space.
-func HasDirective(cg *ast.CommentGroup, directive string) bool {
+func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	if cg == nil {
 		return false
 	}
@@ -185,49 +172,13 @@ func HasDirective(cg *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// RunPackage runs one analyzer over one loaded package and returns its
-// diagnostics with //worksim:allow suppression applied.
-func RunPackage(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Path:     pkg.Path,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-		diags:    &diags,
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-	}
-	dir := collectDirectives(pkg.Fset, pkg.Files)
-	kept := diags[:0]
-	for _, d := range diags {
-		if !dir.suppressed(d.Pos) {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
-// Run executes every per-package analyzer over every package and returns the
-// combined, position-sorted findings. Malformed //worksim:allow directives
-// are reported once per package under the synthetic check name
-// "allowdirective". Module-level analyzers (RunModule) are skipped — use
-// RunRoot when a module root is known.
+// Run executes every analyzer over every package and returns the combined,
+// position-sorted findings with //worksim:allow suppression applied.
+// Malformed allow directives are reported once per package under the
+// synthetic check name "allowdirective". The result is sorted by (file, line,
+// col, analyzer, message) so output is deterministic run over run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunRoot("", pkgs, analyzers)
-}
-
-// RunRoot executes the full analyzer set — per-package and, when root is
-// non-empty, module-level — over the loaded packages. //worksim:allow
-// suppression is applied across the whole set, so a module-level diagnostic
-// landing on an allowed line is suppressed exactly like a per-package one,
-// and the result is sorted by (file, line, col, analyzer, message) so output
-// is deterministic run over run.
-func RunRoot(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	all, dirs, err := runRaw(root, pkgs, analyzers)
+	all, dirs, err := runRaw(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +193,9 @@ func RunRoot(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic,
 }
 
 // runRaw produces the unsuppressed diagnostics of every analyzer plus the
-// union of the packages' allow directives — the shared substrate of RunRoot
-// and the -audit ledger.
-func runRaw(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, directives, error) {
+// union of the packages' allow directives — the shared substrate of Run and
+// the -audit ledger.
+func runRaw(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, directives, error) {
 	union := directives{allow: make(map[string]map[int]string)}
 	var all []Diagnostic
 	for _, pkg := range pkgs {
@@ -260,10 +211,6 @@ func runRaw(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, 
 			}
 		}
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			var diags []Diagnostic
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -271,24 +218,11 @@ func runRaw(root string, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, 
 				Path:     pkg.Path,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				diags:    &diags,
+				diags:    &all,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, directives{}, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
-			all = append(all, diags...)
-		}
-	}
-	if root != "" {
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			diags, err := a.RunModule(root, pkgs)
-			if err != nil {
-				return nil, directives{}, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			all = append(all, diags...)
 		}
 	}
 	return all, union, nil
@@ -318,7 +252,6 @@ func SortDiagnostics(diags []Diagnostic) {
 // All returns the full worksim analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, FacadeBoundary, CtxDiscipline, HotPath,
-		GoHygiene, SyncMisuse, EscapeBudgetAnalyzer,
+		Determinism, FacadeBoundary, CtxDiscipline, GoHygiene, SyncMisuse,
 	}
 }

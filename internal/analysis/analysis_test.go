@@ -31,10 +31,6 @@ func TestCtxDisciplineFixture(t *testing.T) {
 	analysistest.Run(t, fixture("ctxdiscipline", "facade"), analysis.CtxDiscipline)
 }
 
-func TestHotPathFixture(t *testing.T) {
-	analysistest.Run(t, fixture("hotpath", "hot"), analysis.HotPath)
-}
-
 // TestBareAllowDirective pins the auditability contract of the escape hatch:
 // a //worksim:allow without a reason is itself reported and suppresses
 // nothing, so the wall-clock read on the next line still surfaces.
@@ -139,9 +135,9 @@ func TestJSONSchemaGolden(t *testing.T) {
 			Message:  "time.Now reads the wall clock",
 		},
 		{
-			Analyzer: "escapebudget",
-			Pos:      token.Position{Filename: "/m/lint/escape_budget.json", Line: 1, Column: 1},
-			Message:  "orphaned budget entry",
+			Analyzer: "allowdirective",
+			Pos:      token.Position{Filename: "/m/worksim/bench/persist.go", Line: 1, Column: 1},
+			Message:  "//worksim:allow suppresses nothing (orphaned)",
 		},
 	}
 	var buf bytes.Buffer
@@ -157,11 +153,11 @@ func TestJSONSchemaGolden(t *testing.T) {
     "message": "time.Now reads the wall clock"
   },
   {
-    "file": "lint/escape_budget.json",
+    "file": "worksim/bench/persist.go",
     "line": 1,
     "col": 1,
-    "analyzer": "escapebudget",
-    "message": "orphaned budget entry"
+    "analyzer": "allowdirective",
+    "message": "//worksim:allow suppresses nothing (orphaned)"
   }
 ]
 `

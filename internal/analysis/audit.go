@@ -39,9 +39,10 @@ const auditReportVersion = 1
 // line above, mirroring normal suppression), and returns the ledger plus
 // the failures the audit itself raises: bare directives (no reason) and
 // orphaned directives (suppressing nothing). Diagnostics that no directive
-// covers are the caller's concern — a normal RunRoot pass reports those.
+// covers are the caller's concern — a normal Run pass reports those. root
+// only makes the ledger's file names module-relative.
 func Audit(root string, pkgs []*Package, analyzers []*Analyzer) (*AuditReport, []Diagnostic, error) {
-	raw, dirs, err := runRaw(root, pkgs, analyzers)
+	raw, dirs, err := runRaw(pkgs, analyzers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,7 +32,7 @@ var CtxDiscipline = &Analyzer{
 func runCtxDiscipline(pass *Pass) error {
 	facade := pass.Path == "repro/worksim" || strings.HasPrefix(pass.Path, "repro/worksim/")
 	for _, f := range pass.Files {
-		tickLines := directiveEndLines(pass.Fset, f, TickloopDirective)
+		tickLines := directiveEndLines(pass.Fset, f, tickloopDirective)
 		if facade {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -186,7 +186,7 @@ func isContext(t types.Type) bool {
 func directiveEndLines(fset *token.FileSet, f *ast.File, directive string) map[int]bool {
 	lines := make(map[int]bool)
 	for _, cg := range f.Comments {
-		if HasDirective(cg, directive) {
+		if hasDirective(cg, directive) {
 			lines[fset.Position(cg.End()).Line] = true
 		}
 	}

@@ -38,7 +38,7 @@ func FormatDiagnostic(root string, d Diagnostic) string {
 }
 
 // EncodeDiagnostics writes findings as an indented JSON array in the locked
-// schema. The caller passes diagnostics already sorted (RunRoot sorts); the
+// schema. The caller passes diagnostics already sorted (Run sorts); the
 // encoder adds no ordering of its own, so byte-stability follows from the
 // input order plus root-relative paths.
 func EncodeDiagnostics(w io.Writer, root string, diags []Diagnostic) error {

@@ -6,15 +6,16 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestRepoLintClean runs the full analyzer suite — module-level escapebudget
-// included — over the whole module and requires zero findings: the same gate
-// CI applies via cmd/worksimlint. It subsumes the old reflective
-// façade-boundary walk: an eroding import, a wall-clock read on a simulated
-// path, a deleted tick-loop cancellation check, an untracked goroutine or a
-// hot-path escape regression all fail this test with a file:line diagnostic.
+// TestRepoLintClean runs the full analyzer suite over the whole module and
+// requires zero findings: the same gate CI applies via cmd/worksimlint. It
+// subsumes the old reflective façade-boundary walk: an eroding import, a
+// wall-clock read on a simulated path, a deleted tick-loop cancellation
+// check, an untracked goroutine or a field mixing atomic and plain access
+// all fail this test with a file:line diagnostic. Allocation regressions
+// are the AllocsPerRun locks' job, copied locks `go vet`'s.
 func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks and compiles the whole module; skipped in -short mode")
+		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
@@ -24,7 +25,7 @@ func TestRepoLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	diags, err := analysis.RunRoot(root, pkgs, analysis.All())
+	diags, err := analysis.Run(pkgs, analysis.All())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestRepoLintClean(t *testing.T) {
 // accumulates stale exceptions.
 func TestRepoAuditClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks and compiles the whole module; skipped in -short mode")
+		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {

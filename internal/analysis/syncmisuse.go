@@ -9,10 +9,6 @@ import (
 // SyncMisuse flags the synchronization mistakes that the runtime either
 // cannot detect or detects only when a schedule happens to expose them:
 //
-//   - sync.Mutex / RWMutex / WaitGroup / Once / Cond / Map / Pool copied by
-//     value — as a parameter, result, or plain value assignment. A copied
-//     lock guards nothing; `go vet` catches some shapes, this keeps the rule
-//     inside the repo's own gate alongside the rest of the suite.
 //   - a struct field accessed both through sync/atomic calls and with plain
 //     loads/stores in the same package: the plain access tears the atomicity
 //     the other call sites paid for. (Typed atomics — atomic.Int64 and
@@ -21,32 +17,22 @@ import (
 //     on virtual time, so a host sleep in a tick loop stalls the scheduler
 //     without simulating anything.
 //
-// Deliberate exceptions carry //worksim:allow <reason>.
+// Sync primitives copied by value are left to `go vet` (copylocks), which CI
+// runs on the whole module. Deliberate exceptions carry
+// //worksim:allow <reason>.
 var SyncMisuse = &Analyzer{
 	Name: "syncmisuse",
-	Doc: "flag sync primitives copied by value, struct fields mixing atomic and " +
-		"plain access, and time.Sleep inside //worksim:tickloop loops",
+	Doc: "flag struct fields mixing atomic and plain access, and time.Sleep " +
+		"inside //worksim:tickloop loops",
 	Run: runSyncMisuse,
 }
 
 func runSyncMisuse(pass *Pass) error {
 	atomicFields := collectAtomicFields(pass)
 	for _, f := range pass.Files {
-		tickLines := directiveEndLines(pass.Fset, f, TickloopDirective)
+		tickLines := directiveEndLines(pass.Fset, f, tickloopDirective)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkSyncSignature(pass, n.Type)
-			case *ast.FuncLit:
-				checkSyncSignature(pass, n.Type)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkSyncCopy(pass, rhs)
-				}
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					checkSyncCopy(pass, v)
-				}
 			case *ast.SelectorExpr:
 				checkPlainAtomicAccess(pass, atomicFields, n)
 			case *ast.ForStmt:
@@ -58,68 +44,6 @@ func runSyncMisuse(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// syncValueType returns the sync primitive's name when t is a by-value use
-// of one, and "" otherwise.
-func syncValueType(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return ""
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-		return obj.Name()
-	}
-	return ""
-}
-
-// checkSyncSignature flags parameters and results that pass a sync primitive
-// by value.
-func checkSyncSignature(pass *Pass, ft *ast.FuncType) {
-	if pass.Info == nil {
-		return
-	}
-	fields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := pass.Info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			if name := syncValueType(tv.Type); name != "" {
-				pass.Reportf(field.Pos(), "sync.%s %s by value: the copy is independent of the original and synchronizes nothing; pass *sync.%s", name, what, name)
-			}
-		}
-	}
-	fields(ft.Params, "passed")
-	fields(ft.Results, "returned")
-}
-
-// checkSyncCopy flags `x := mu` / `x = mu` style value copies of a sync
-// primitive. Composite literals and calls construct fresh values, which is
-// initialization rather than a copy of a possibly-locked original.
-func checkSyncCopy(pass *Pass, rhs ast.Expr) {
-	if pass.Info == nil {
-		return
-	}
-	switch rhs.(type) {
-	case *ast.CompositeLit, *ast.CallExpr, *ast.UnaryExpr:
-		return
-	}
-	tv, ok := pass.Info.Types[rhs]
-	if !ok || tv.Type == nil {
-		return
-	}
-	if name := syncValueType(tv.Type); name != "" {
-		pass.Reportf(rhs.Pos(), "sync.%s copied by value: the copy shares no state with the original (a held lock is silently dropped); take a pointer instead", name)
-	}
 }
 
 // atomicFieldUse records where a struct field is touched by sync/atomic

@@ -1,13 +1,11 @@
 //worksimtest:importpath repro/internal/fixture/prims
 
-// Package prims exercises the syncmisuse analyzer: by-value copies of sync
-// primitives, mixed atomic/plain field access, and time.Sleep inside a
-// //worksim:tickloop loop — each with a clean or allow-suppressed
-// counterpart.
+// Package prims exercises the syncmisuse analyzer: mixed atomic/plain field
+// access and time.Sleep inside a //worksim:tickloop loop — each with a clean
+// or allow-suppressed counterpart.
 package prims
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,27 +13,6 @@ import (
 type counters struct {
 	hits  int64
 	plain int64
-}
-
-func takesValue(mu sync.Mutex) { mu.Lock() } // want `sync.Mutex passed by value`
-
-func takesPointer(mu *sync.Mutex) { mu.Lock() } // clean
-
-func returnsValue() sync.WaitGroup { // want `sync.WaitGroup returned by value`
-	var wg sync.WaitGroup
-	return wg
-}
-
-func copies() {
-	var mu sync.Mutex
-	dup := mu // want `sync.Mutex copied by value`
-	dup.Lock()
-
-	fresh := sync.Mutex{} // clean: composite literal is initialization, not a copy
-	fresh.Lock()
-
-	ptr := &mu // clean: taking a pointer shares the lock
-	_ = ptr
 }
 
 func mixedAccess(c *counters) int64 {

@@ -120,8 +120,6 @@ func NewTracker(opts Options) *Tracker {
 // Update ingests one scan's detections at virtual time now and returns the
 // tracks confirmed by this update. The returned slice is a scratch buffer
 // owned by the tracker, valid until the next Update.
-//
-//worksim:hotpath
 func (t *Tracker) Update(now time.Duration, dets []sensors.Detection) []*Track {
 	newlyConfirmed := t.newly[:0]
 	for _, d := range dets {
@@ -175,7 +173,6 @@ func (t *Tracker) newTrack() *Track {
 	}
 }
 
-//worksim:hotpath
 func (t *Tracker) associate(p geo.Vec) *Track {
 	var best *Track
 	bestDist := t.opts.GateM
@@ -187,7 +184,6 @@ func (t *Tracker) associate(p geo.Vec) *Track {
 	return best
 }
 
-//worksim:hotpath
 func (t *Tracker) expire(now time.Duration) {
 	kept := t.tracks[:0]
 	for _, tr := range t.tracks {
@@ -225,8 +221,6 @@ func (t *Tracker) ConfirmedNear(pos geo.Vec, radius float64) []*Track {
 // AppendConfirmedPositions appends the positions of confirmed tracks within
 // radius of pos to dst and returns it — the allocation-free form of
 // ConfirmedNear for the per-tick protective-field query.
-//
-//worksim:hotpath
 func (t *Tracker) AppendConfirmedPositions(dst []geo.Vec, pos geo.Vec, radius float64) []geo.Vec {
 	for _, tr := range t.tracks {
 		if tr.Confirmed && tr.Pos.Dist(pos) <= radius {

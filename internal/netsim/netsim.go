@@ -86,13 +86,9 @@ type pooledFrame struct {
 var _ radio.Refcounted = (*pooledFrame)(nil)
 
 // Retain implements radio.Refcounted.
-//
-//worksim:hotpath
 func (f *pooledFrame) Retain() { f.refs++ }
 
 // Release implements radio.Refcounted.
-//
-//worksim:hotpath
 func (f *pooledFrame) Release() {
 	f.refs--
 	if f.refs == 0 {
@@ -104,7 +100,6 @@ type framePool struct {
 	free []*pooledFrame
 }
 
-//worksim:hotpath
 func (p *framePool) get() *pooledFrame {
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
@@ -113,10 +108,9 @@ func (p *framePool) get() *pooledFrame {
 		f.refs = 1
 		return f
 	}
-	return &pooledFrame{refs: 1, pool: p} //worksim:allow pool warm-up: allocates only until the free list reaches high water
+	return &pooledFrame{refs: 1, pool: p}
 }
 
-//worksim:hotpath
 func (p *framePool) put(f *pooledFrame) {
 	buf := f.buf
 	f.Frame = Frame{}
@@ -128,8 +122,6 @@ func (p *framePool) put(f *pooledFrame) {
 // not. The returned value shares the payload storage of an in-flight pooled
 // frame: it is valid during a synchronous delivery callback, but must be
 // deep-copied (SnapshotFrame) before being retained.
-//
-//worksim:hotpath
 func frameView(p radio.Packet) (Frame, bool) {
 	switch v := p.Payload.(type) {
 	case *pooledFrame:
@@ -253,11 +245,9 @@ func (a *Adapter) Associate(peer radio.NodeID) error {
 
 // SendData transmits payload to an associated peer. It returns an error if
 // the link is not associated (the upper layer may then re-associate).
-//
-//worksim:hotpath
 func (a *Adapter) SendData(peer radio.NodeID, payload []byte) error {
 	if !a.Associated(peer) {
-		return fmt.Errorf("send data %s->%s: link not associated", a.id, peer) //worksim:allow cold error exit: unassociated links occur only under attack or before commissioning
+		return fmt.Errorf("send data %s->%s: link not associated", a.id, peer)
 	}
 	return a.send(Frame{Kind: FrameData, Src: a.id, Dst: peer, Payload: payload})
 }
@@ -300,7 +290,6 @@ func (a *Adapter) InjectRaw(f Frame) error {
 	})
 }
 
-//worksim:hotpath
 func (a *Adapter) send(f Frame) error {
 	a.txSeq++
 	f.Seq = a.txSeq
@@ -324,7 +313,6 @@ func (a *Adapter) send(f Frame) error {
 	return err
 }
 
-//worksim:hotpath
 func (a *Adapter) receive(p radio.Packet) {
 	f, ok := frameView(p)
 	if !ok {
@@ -389,11 +377,10 @@ func (a *Adapter) handleDeauth(f Frame) {
 	}
 }
 
-//worksim:hotpath
 func (a *Adapter) linkFor(peer radio.NodeID) *link {
 	l, ok := a.links[peer]
 	if !ok {
-		l = &link{} //worksim:allow one allocation per peer at first contact; steady state hits the map
+		l = &link{}
 		a.links[peer] = l
 	}
 	return l

@@ -81,16 +81,12 @@ type Certificate struct {
 }
 
 // tbs returns the deterministic to-be-signed encoding of the certificate.
-//
-//worksim:hotpath
 func (c Certificate) tbs() []byte {
-	return c.appendTBS(make([]byte, 0, 128)) //worksim:allow single pre-sized buffer per encoding; reuse appendTBS directly to amortise it away
+	return c.appendTBS(make([]byte, 0, 128))
 }
 
 // appendTBS appends the to-be-signed encoding to dst and returns the grown
 // slice, so callers with a scratch buffer encode without allocating.
-//
-//worksim:hotpath
 func (c Certificate) appendTBS(dst []byte) []byte {
 	buf := dst
 	var u64 [8]byte
@@ -112,8 +108,6 @@ func (c Certificate) appendTBS(dst []byte) []byte {
 
 // Fingerprint returns the SHA-256 digest of the to-be-signed encoding,
 // suitable as a stable identifier in logs and assurance evidence.
-//
-//worksim:hotpath
 func (c Certificate) Fingerprint() [32]byte { return sha256.Sum256(c.tbs()) }
 
 // Marshal serialises the certificate to JSON.
@@ -135,8 +129,6 @@ type Identity struct {
 }
 
 // Sign signs msg with the identity's private key.
-//
-//worksim:hotpath
 func (id Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
 
 // PublicKey returns the identity's public key.
@@ -249,38 +241,34 @@ func (v *Verifier) UpdateCRL(crl map[uint64]struct{}) { v.crl = crl }
 // Verify checks cert at virtual time now. It returns nil if the certificate
 // chains to the anchor, is within validity, not revoked, and (if role policy
 // is set) has an allowed role.
-//
-//worksim:hotpath
 func (v *Verifier) Verify(cert Certificate, now time.Duration) error {
 	if cert.Issuer != v.anchor.Subject {
-		return fmt.Errorf("verify %q: issuer %q: %w", cert.Subject, cert.Issuer, ErrWrongIssuer) //worksim:allow cold rejection path, runs only for untrusted peers
+		return fmt.Errorf("verify %q: issuer %q: %w", cert.Subject, cert.Issuer, ErrWrongIssuer)
 	}
 	v.tbsScratch = cert.appendTBS(v.tbsScratch[:0])
 	if !ed25519.Verify(v.anchor.PublicKey, v.tbsScratch, cert.Signature) {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrBadSignature) //worksim:allow cold rejection path, runs only for forged certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrBadSignature)
 	}
 	if now < cert.NotBefore {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrNotYetValid) //worksim:allow cold rejection path, runs only for out-of-window certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrNotYetValid)
 	}
 	if now > cert.NotAfter {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrExpired) //worksim:allow cold rejection path, runs only for out-of-window certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrExpired)
 	}
 	if v.crl != nil {
 		if _, revoked := v.crl[cert.Serial]; revoked {
-			return fmt.Errorf("verify %q (serial %d): %w", cert.Subject, cert.Serial, ErrRevoked) //worksim:allow cold rejection path, runs only for revoked certificates
+			return fmt.Errorf("verify %q (serial %d): %w", cert.Subject, cert.Serial, ErrRevoked)
 		}
 	}
 	if len(v.AllowedRoles) > 0 {
 		if _, ok := v.AllowedRoles[cert.Role]; !ok {
-			return fmt.Errorf("verify %q: role %s: %w", cert.Subject, cert.Role, ErrRoleDenied) //worksim:allow cold rejection path, runs only for role-policy violations
+			return fmt.Errorf("verify %q: role %s: %w", cert.Subject, cert.Role, ErrRoleDenied)
 		}
 	}
 	return nil
 }
 
 // VerifySignature checks that sig is a valid signature by cert's key over msg.
-//
-//worksim:hotpath
 func VerifySignature(cert Certificate, msg, sig []byte) bool {
 	return ed25519.Verify(cert.PublicKey, msg, sig)
 }

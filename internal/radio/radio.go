@@ -259,8 +259,6 @@ func (m *Medium) Stats() Stats {
 }
 
 // Airtime returns the on-air duration of a packet of the given size.
-//
-//worksim:hotpath
 func (m *Medium) Airtime(size int) time.Duration {
 	bits := float64(size * 8)
 	return m.cfg.PreambleTime + time.Duration(bits/m.cfg.BitrateMbps)*time.Microsecond
@@ -268,15 +266,13 @@ func (m *Medium) Airtime(size int) time.Duration {
 
 // Transmit sends p from its sender. Delivery (or silent loss) happens after
 // the frame airtime. It returns an error if the sender is unknown or offline.
-//
-//worksim:hotpath
 func (m *Medium) Transmit(p Packet) error {
 	tx, ok := m.nodes[p.From]
 	if !ok {
-		return fmt.Errorf("transmit: unknown node %q", p.From) //worksim:allow cold error exit: misconfigured topology, never the steady state
+		return fmt.Errorf("transmit: unknown node %q", p.From)
 	}
 	if !tx.Online {
-		return fmt.Errorf("transmit: node %q is offline", p.From) //worksim:allow cold error exit: offline nodes occur only under attack transitions
+		return fmt.Errorf("transmit: node %q is offline", p.From)
 	}
 	m.stats.Transmissions++
 	airtime := m.Airtime(p.Size)
@@ -300,7 +296,6 @@ func (m *Medium) Transmit(p Packet) error {
 	return nil
 }
 
-//worksim:hotpath
 func (m *Medium) attemptDelivery(p Packet, tx, rx *Node, txPos geo.Vec, airtime time.Duration) {
 	if !rx.Online {
 		m.drop(p, rx.ID, 0, DropOffline)
@@ -343,8 +338,6 @@ type delivery struct {
 }
 
 // RunEvent implements simclock.Task.
-//
-//worksim:hotpath
 func (d *delivery) RunEvent(*simclock.Scheduler) {
 	m, recv, p := d.m, d.recv, d.p
 	// Return the task first: the receive callback may transmit (and so
@@ -356,7 +349,6 @@ func (d *delivery) RunEvent(*simclock.Scheduler) {
 	}
 }
 
-//worksim:hotpath
 func (m *Medium) getDelivery() *delivery {
 	if n := len(m.freeDeliveries); n > 0 {
 		d := m.freeDeliveries[n-1]
@@ -364,16 +356,14 @@ func (m *Medium) getDelivery() *delivery {
 		m.freeDeliveries = m.freeDeliveries[:n-1]
 		return d
 	}
-	return new(delivery) //worksim:allow pool warm-up: allocates only until the delivery pool reaches high water
+	return new(delivery)
 }
 
-//worksim:hotpath
 func (m *Medium) putDelivery(d *delivery) {
 	*d = delivery{}
 	m.freeDeliveries = append(m.freeDeliveries, d)
 }
 
-//worksim:hotpath
 func (m *Medium) drop(p Packet, to NodeID, sinr float64, cause DropCause) {
 	m.stats.Drops[cause.String()]++
 	if m.Observer != nil {
@@ -393,7 +383,6 @@ func (m *Medium) SINRBetween(a, b NodeID) (float64, bool) {
 	return m.sinrDB(tx.TxPowerDBm, tx.Pos(), rx.Pos(), tx.Channel), true
 }
 
-//worksim:hotpath
 func (m *Medium) sinrDB(txPowerDBm float64, txPos, rxPos geo.Vec, channel int) float64 {
 	rxPower := txPowerDBm - m.pathLossDB(txPos, rxPos)
 	rxPower += m.rand.Norm(0, m.cfg.ShadowSigmaDB)
@@ -402,7 +391,6 @@ func (m *Medium) sinrDB(txPowerDBm float64, txPos, rxPos geo.Vec, channel int) f
 	return rxPower - mwToDBm(totalNoiseMW)
 }
 
-//worksim:hotpath
 func (m *Medium) pathLossDB(a, b geo.Vec) float64 {
 	d := a.Dist(b)
 	if d < 1 {
@@ -417,8 +405,6 @@ func (m *Medium) pathLossDB(a, b geo.Vec) float64 {
 
 // occludingCells counts tree/rock cells along the propagation path, capped so
 // a deep-forest link saturates rather than becoming -inf.
-//
-//worksim:hotpath
 func (m *Medium) occludingCells(a, b geo.Vec) int {
 	const cap = 20
 	n := 0
@@ -435,7 +421,6 @@ func (m *Medium) occludingCells(a, b geo.Vec) int {
 	return n
 }
 
-//worksim:hotpath
 func (m *Medium) interferenceMW(rxPos geo.Vec, channel int) float64 {
 	var total float64
 	for _, j := range m.jammers {
@@ -453,8 +438,6 @@ func (m *Medium) interferenceMW(rxPos geo.Vec, channel int) float64 {
 
 // packetErrorProb maps SINR to packet error probability with a logistic
 // curve centred at the configured threshold.
-//
-//worksim:hotpath
 func (m *Medium) packetErrorProb(sinrDB float64) float64 {
 	x := (sinrDB - m.cfg.SINRThresholdDB) / m.cfg.SINRSlopeDB
 	return 1 / (1 + math.Exp(x))

@@ -102,8 +102,6 @@ func (a *ContinuousAssessor) Current(now time.Duration) []AssessedRisk {
 // without allocating. The ordering is identical to Current's — risk value
 // descending, scenario ID ascending on ties — and since scenario IDs are
 // unique the order is total, so the sort algorithm cannot influence it.
-//
-//worksim:hotpath
 func (a *ContinuousAssessor) CurrentInto(dst []AssessedRisk, now time.Duration) []AssessedRisk {
 	dst = append(dst[:0], a.baseline...)
 	for i := range dst {

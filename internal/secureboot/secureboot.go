@@ -39,8 +39,6 @@ type Image struct {
 }
 
 // Digest returns the SHA-256 digest of the image identity and content.
-//
-//worksim:hotpath
 func (im Image) Digest() [32]byte {
 	h := sha256.New()
 	h.Write([]byte(im.Name))
@@ -147,19 +145,18 @@ func (d *Device) Boot(chain Chain) (Report, error) {
 	return rep, nil
 }
 
-//worksim:hotpath
 func (d *Device) verifyStage(st Stage) error {
 	if st.Manifest.ImageName != st.Image.Name {
-		return fmt.Errorf("%w: manifest %q vs image %q", ErrWrongImage, st.Manifest.ImageName, st.Image.Name) //worksim:allow cold rejection path, runs only for tampered boot stages
+		return fmt.Errorf("%w: manifest %q vs image %q", ErrWrongImage, st.Manifest.ImageName, st.Image.Name)
 	}
 	if !pki.VerifySignature(d.vendorCert, st.Manifest.tbs(), st.Manifest.Signature) {
 		return ErrManifestSig
 	}
 	if st.Image.Version < d.MinVersions[st.Image.Name] {
-		return fmt.Errorf("%w: version %d below floor %d", ErrRollback, st.Image.Version, d.MinVersions[st.Image.Name]) //worksim:allow cold rejection path, runs only under rollback attack
+		return fmt.Errorf("%w: version %d below floor %d", ErrRollback, st.Image.Version, d.MinVersions[st.Image.Name])
 	}
 	if st.Manifest.Version != st.Image.Version {
-		return fmt.Errorf("%w: manifest version %d vs image %d", ErrWrongImage, st.Manifest.Version, st.Image.Version) //worksim:allow cold rejection path, runs only for tampered boot stages
+		return fmt.Errorf("%w: manifest version %d vs image %d", ErrWrongImage, st.Manifest.Version, st.Image.Version)
 	}
 	dg := st.Image.Digest()
 	if !bytes.Equal(dg[:], st.Manifest.Digest[:]) {
@@ -169,8 +166,6 @@ func (d *Device) verifyStage(st Stage) error {
 }
 
 // extend computes the PCR-style measurement extension.
-//
-//worksim:hotpath
 func extend(pcr, digest [32]byte) [32]byte {
 	h := sha256.New()
 	h.Write(pcr[:])
@@ -197,9 +192,8 @@ type Quote struct {
 	Signature []byte   `json:"signature"`
 }
 
-//worksim:hotpath
 func quoteTBS(pcr [32]byte, nonce []byte) []byte {
-	buf := make([]byte, 0, 64) //worksim:allow single pre-sized buffer per quote; the appends below reuse it via the scratch pattern
+	buf := make([]byte, 0, 64)
 	buf = append(buf, pcr[:]...)
 	buf = append(buf, nonce...)
 	return buf
@@ -207,29 +201,25 @@ func quoteTBS(pcr [32]byte, nonce []byte) []byte {
 
 // Attest produces a quote over the report's PCR, bound to the verifier's
 // freshness nonce, signed with the machine identity.
-//
-//worksim:hotpath
 func Attest(machine pki.Identity, rep Report, nonce []byte) Quote {
 	return Quote{
 		PCR:       rep.PCR,
-		Nonce:     append([]byte(nil), nonce...), //worksim:allow the quote must own its nonce copy (caller may reuse the buffer); one small allocation per attestation round
+		Nonce:     append([]byte(nil), nonce...),
 		Signature: machine.Sign(quoteTBS(rep.PCR, nonce)),
 	}
 }
 
 // VerifyQuote checks a quote against the machine certificate, the expected
 // golden PCR, and the challenge nonce.
-//
-//worksim:hotpath
 func VerifyQuote(machineCert pki.Certificate, q Quote, golden [32]byte, nonce []byte) error {
 	if !bytes.Equal(q.Nonce, nonce) {
-		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for replayed or stale quotes
+		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid)
 	}
 	if !pki.VerifySignature(machineCert, quoteTBS(q.PCR, q.Nonce), q.Signature) {
-		return fmt.Errorf("%w: signature", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for forged quotes
+		return fmt.Errorf("%w: signature", ErrQuoteInvalid)
 	}
 	if !bytes.Equal(q.PCR[:], golden[:]) {
-		return fmt.Errorf("%w: PCR mismatch (tampered chain)", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for tampered boot chains
+		return fmt.Errorf("%w: PCR mismatch (tampered chain)", ErrQuoteInvalid)
 	}
 	return nil
 }

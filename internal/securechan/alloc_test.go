@@ -27,20 +27,24 @@ func TestSealOpenZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// AllocsPerRun calls the function once extra for warm-up; every call
-	// seals one record, and the paired receiver opens it inside the same
-	// measured call so both directions are locked together. The record is
-	// consumed before the next Seal overwrites the pooled buffer.
-	avg := testing.AllocsPerRun(100, func() {
-		rec, err := p.init.Seal(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.resp.Open(rec); err != nil {
-			t.Fatal(err)
+	// Every iteration seals one record, and the paired receiver opens it
+	// inside the same iteration so both directions are locked together. The
+	// record is consumed before the next Seal overwrites the pooled buffer.
+	// The 100 iterations are one run: AllocsPerRun truncates its per-run
+	// mean to an integer, which would hide an allocation made on fewer than
+	// every record.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			rec, err := p.init.Seal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.resp.Open(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state Seal+Open allocates: %v allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Fatalf("steady-state Seal+Open allocates: %v allocs in 100 records, want 0", allocs)
 	}
 }

@@ -393,8 +393,6 @@ func (c *Channel) Fork() (*Channel, error) {
 // seals must copy (the simulator's network adapter copies the payload into
 // its own frame storage before transmitting). Under Options.Unpooled every
 // record is a fresh allocation instead.
-//
-//worksim:hotpath
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	if c.st != stateEstablished {
 		return nil, ErrNotEstablished
@@ -457,29 +455,27 @@ const maxEpochSkip = 1 << 10
 // The returned plaintext aliases the channel's pooled buffer and is valid
 // until the next Open on this channel; under Options.Unpooled it is a fresh
 // allocation instead.
-//
-//worksim:hotpath
 func (c *Channel) Open(record []byte) ([]byte, error) {
 	if c.st != stateEstablished {
 		return nil, ErrNotEstablished
 	}
 	if len(record) < 8 {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: short record", ErrDecrypt) //worksim:allow cold rejection path, runs only on malformed input
+		return nil, fmt.Errorf("%w: short record", ErrDecrypt)
 	}
 	seq := binary.BigEndian.Uint64(record[:8])
 	if c.stats.RecordsOpened > 0 && seq < c.rxSeq {
 		c.stats.ReplaysRejected++
-		return nil, fmt.Errorf("%w: seq %d < %d", ErrReplay, seq, c.rxSeq) //worksim:allow cold rejection path, runs only under replay attack
+		return nil, fmt.Errorf("%w: seq %d < %d", ErrReplay, seq, c.rxSeq)
 	}
 	epoch := seq / c.rekeyEvery
 	if epoch < c.rxEpoch {
 		c.stats.ReplaysRejected++
-		return nil, fmt.Errorf("%w: epoch %d already ratcheted away", ErrReplay, epoch) //worksim:allow cold rejection path, runs only under replay attack
+		return nil, fmt.Errorf("%w: epoch %d already ratcheted away", ErrReplay, epoch)
 	}
 	if epoch-c.rxEpoch > maxEpochSkip {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: implausible epoch skip %d", ErrDecrypt, epoch-c.rxEpoch) //worksim:allow cold rejection path, runs only on forged records
+		return nil, fmt.Errorf("%w: implausible epoch skip %d", ErrDecrypt, epoch-c.rxEpoch)
 	}
 	key, aead := c.rxKey, c.rxAEAD
 	if epoch > c.rxEpoch || aead == nil {
@@ -505,7 +501,7 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 	if err != nil {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err) //worksim:allow cold rejection path, runs only on tampered records
+		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
 	if !c.opts.Unpooled {
 		c.openBuf = pt
@@ -522,25 +518,21 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 // derivation and on epoch ratchets — the construction used to dominate the
 // secured record path, and its heap behavior stays pinned by the escape
 // budget so it cannot creep back onto the per-record path unnoticed.
-//
-//worksim:hotpath
 func newAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("record cipher: %w", err) //worksim:allow cold path: AES key sizes are fixed by the handshake, so this never runs in steady state
+		return nil, fmt.Errorf("record cipher: %w", err)
 	}
 	aead, err := cipher.NewGCM(block)
 	if err != nil {
-		return nil, fmt.Errorf("record aead: %w", err) //worksim:allow cold path: GCM over AES never fails for the keys the handshake derives
+		return nil, fmt.Errorf("record aead: %w", err)
 	}
 	return aead, nil
 }
 
 // recordNonce derives the per-record GCM nonce from the sequence number.
-//
-//worksim:hotpath
 func recordNonce(seq uint64) []byte {
-	nonce := make([]byte, 12) //worksim:allow fixed 12-byte nonce required by the AEAD API; counted in lint/escape_budget.json
+	nonce := make([]byte, 12)
 	binary.BigEndian.PutUint64(nonce[4:], seq)
 	return nonce
 }

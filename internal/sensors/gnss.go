@@ -61,8 +61,6 @@ func NewGNSS(r *rng.Rand) *GNSS {
 }
 
 // Sample produces a reading for a receiver truly located at truth.
-//
-//worksim:hotpath
 func (g *GNSS) Sample(truth geo.Vec) GNSSReading {
 	switch g.Mode {
 	case GNSSJammed:
@@ -127,8 +125,6 @@ type GNSSVerdict struct {
 }
 
 // Check evaluates a reading taken at virtual time tSec (seconds).
-//
-//worksim:hotpath
 func (gd *GNSSGuard) Check(r GNSSReading, tSec float64) GNSSVerdict {
 	if !r.HasFix {
 		return GNSSVerdict{Trustworthy: false, Reason: "no fix"}

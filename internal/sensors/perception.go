@@ -55,8 +55,6 @@ func NewLidar(r *rng.Rand, grid *geo.Grid) *Lidar {
 // Scan attempts to detect each target from the sensor position. The returned
 // slice is a scratch buffer owned by the sensor: it is valid until the next
 // Scan, so callers must consume (or copy) it before scanning again.
-//
-//worksim:hotpath
 func (l *Lidar) Scan(from geo.Vec, targets []Target, w Weather) []Detection {
 	out := l.scratch[:0]
 	// Weather attenuation is invariant across targets; hoist it out of the
@@ -122,8 +120,6 @@ func NewCamera(r *rng.Rand, grid *geo.Grid) *Camera {
 // Scan attempts to detect each target from the sensor position. The returned
 // slice is a scratch buffer owned by the sensor: it is valid until the next
 // Scan, so callers must consume (or copy) it before scanning again.
-//
-//worksim:hotpath
 func (c *Camera) Scan(from geo.Vec, targets []Target, w Weather) []Detection {
 	out := c.scratch[:0]
 	if c.Blinded {
@@ -164,7 +160,6 @@ func (c *Camera) Scan(from geo.Vec, targets []Target, w Weather) []Detection {
 	return out
 }
 
-//worksim:hotpath
 func (c *Camera) clutter(from geo.Vec) Detection {
 	c.fpCount++
 	angle := c.rand.Range(0, 2*math.Pi)
@@ -198,8 +193,6 @@ func NewUltrasonic(r *rng.Rand) *Ultrasonic {
 
 // Scan detects targets within the short protective field. The returned slice
 // is a scratch buffer owned by the sensor: it is valid until the next Scan.
-//
-//worksim:hotpath
 func (u *Ultrasonic) Scan(from geo.Vec, targets []Target, _ Weather) []Detection {
 	out := u.scratch[:0]
 	for _, t := range targets {
@@ -252,8 +245,6 @@ func NewAerialCamera(r *rng.Rand, grid *geo.Grid) *AerialCamera {
 // Scan attempts to detect each target from the drone's ground-projected
 // position. The returned slice is a scratch buffer owned by the sensor: it
 // is valid until the next Scan.
-//
-//worksim:hotpath
 func (a *AerialCamera) Scan(from geo.Vec, targets []Target, w Weather) []Detection {
 	if a.Blinded {
 		return nil
@@ -289,8 +280,6 @@ func (a *AerialCamera) Scan(from geo.Vec, targets []Target, w Weather) []Detecti
 
 // rangeFalloff maps distance to a [0,1] multiplier: flat to half range, then
 // linear decay to 0.4 at full range.
-//
-//worksim:hotpath
 func rangeFalloff(d, max float64) float64 {
 	if d <= max/2 {
 		return 1

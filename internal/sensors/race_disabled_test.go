@@ -1,0 +1,7 @@
+//go:build !race
+
+package sensors
+
+// raceEnabled reports whether the race detector is active; its
+// instrumentation allocates, so allocation-count assertions skip under it.
+const raceEnabled = false

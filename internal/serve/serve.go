@@ -58,6 +58,18 @@ const (
 	maxRequestBody = 1 << 20
 )
 
+// Connection bounds of the http.Server that Serve runs. There is no write
+// timeout: SSE streams stay open for a whole run.
+var (
+	// readHeaderTimeout closes a connection whose request headers have not
+	// arrived in full by then, so a client trickling a header cannot hold
+	// the connection open.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection left idle between
+	// requests for that long.
+	idleTimeout = 2 * time.Minute
+)
+
 // Config configures a Server. The zero value is serveable: no auth (every
 // request accepted), default rate limits, quotas and buffers.
 type Config struct {
@@ -191,7 +203,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	httpSrv := &http.Server{Handler: s.handler}
+	httpSrv := &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -212,5 +216,47 @@ func TestRegistryIDsAndOrder(t *testing.T) {
 	all := reg.all()
 	if len(all) != 2 || all[0] != a || all[1] != b {
 		t.Fatalf("all() not in ID order: %v", all)
+	}
+}
+
+// TestSlowHeaderClientDisconnected: a client that sends part of a request
+// header and then stalls has its connection closed once readHeaderTimeout
+// passes, instead of holding it open for as long as it likes.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	prev := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	defer func() { readHeaderTimeout = prev }()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- New(Config{}).Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-errc; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/healthz HTTP/1.1\r\nHost: worksimd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Far beyond the shortened timeout: a server without one is still
+	// waiting for the rest of the header when this deadline passes.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept a partial-header connection open for 5s; want it closed after readHeaderTimeout")
 	}
 }

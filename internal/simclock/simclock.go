@@ -57,8 +57,6 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // At schedules fn to run at absolute virtual time t. Times in the past are
 // clamped to now. It returns a Handle usable with Cancel.
-//
-//worksim:hotpath
 func (s *Scheduler) At(t time.Duration, fn Event) Handle {
 	return s.schedule(t, fn, nil)
 }
@@ -66,13 +64,10 @@ func (s *Scheduler) At(t time.Duration, fn Event) Handle {
 // AtTask schedules task.RunEvent at absolute virtual time t. Unlike At it
 // performs no allocation beyond the (pooled) queue node, so callers can reuse
 // task objects for a zero-allocation steady state.
-//
-//worksim:hotpath
 func (s *Scheduler) AtTask(t time.Duration, task Task) Handle {
 	return s.schedule(t, nil, task)
 }
 
-//worksim:hotpath
 func (s *Scheduler) schedule(t time.Duration, fn Event, task Task) Handle {
 	if t < s.now {
 		t = s.now
@@ -85,7 +80,7 @@ func (s *Scheduler) schedule(t time.Duration, fn Event, task Task) Handle {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		qe = new(queuedEvent) //worksim:allow pool warm-up: allocates only until the node pool reaches high water
+		qe = new(queuedEvent)
 	}
 	*qe = queuedEvent{at: t, seq: s.seq, fn: fn, task: task, handle: h}
 	heap.Push(&s.queue, qe)
@@ -93,8 +88,6 @@ func (s *Scheduler) schedule(t time.Duration, fn Event, task Task) Handle {
 }
 
 // After schedules fn to run d after the current virtual time.
-//
-//worksim:hotpath
 func (s *Scheduler) After(d time.Duration, fn Event) Handle {
 	if d < 0 {
 		d = 0
@@ -103,8 +96,6 @@ func (s *Scheduler) After(d time.Duration, fn Event) Handle {
 }
 
 // AfterTask schedules task.RunEvent d after the current virtual time.
-//
-//worksim:hotpath
 func (s *Scheduler) AfterTask(d time.Duration, task Task) Handle {
 	if d < 0 {
 		d = 0
@@ -114,8 +105,6 @@ func (s *Scheduler) AfterTask(d time.Duration, task Task) Handle {
 
 // release returns a fired (or skipped) node to the free list. The node's
 // references are dropped so recycled nodes do not pin callbacks alive.
-//
-//worksim:hotpath
 func (s *Scheduler) release(qe *queuedEvent) {
 	*qe = queuedEvent{}
 	s.free = append(s.free, qe)
@@ -158,8 +147,6 @@ func (s *Scheduler) Pending() int { return s.queue.Len() }
 // Run executes events in order until the queue empties, virtual time would
 // exceed until, or Stop is called. Events scheduled exactly at until still
 // run. It returns ErrStopped if stopped, nil otherwise.
-//
-//worksim:hotpath
 func (s *Scheduler) Run(until time.Duration) error {
 	for s.queue.Len() > 0 {
 		if s.stopped {
@@ -199,8 +186,6 @@ func (s *Scheduler) Step() bool {
 // the node's time. It reports whether the callback actually ran (false for
 // a cancelled handle). The node is recycled before the callback executes so
 // re-entrant scheduling can reuse it.
-//
-//worksim:hotpath
 func (s *Scheduler) fire(next *queuedEvent) bool {
 	if _, dead := s.canceled[next.handle]; dead {
 		delete(s.canceled, next.handle)
@@ -237,10 +222,8 @@ func (q eventQueue) Less(i, j int) bool {
 }
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-//worksim:hotpath
 func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*queuedEvent)) }
 
-//worksim:hotpath
 func (q *eventQueue) Pop() interface{} {
 	old := *q
 	n := len(old)

@@ -1,6 +1,11 @@
 package worksite
 
 import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +23,12 @@ import (
 // the secured profile the record layer, IDS suite and live risk register)
 // allocates nothing. The helper therefore scouts the deterministic run for a
 // window of transition-free ticks and measures there.
+//
+// The window is measured as one run: testing.AllocsPerRun truncates its
+// per-run mean to an integer, so counting per tick would hide anything that
+// allocates on fewer than every tick — the 1 Hz housekeeping, occasional
+// detections. On failure the window is replayed with every allocation
+// sampled and the message names the allocating file:line frames.
 func assertZeroAllocTicks(t *testing.T, cfg Config) {
 	t.Helper()
 	if raceEnabled {
@@ -53,13 +64,14 @@ func assertZeroAllocTicks(t *testing.T, cfg Config) {
 		prev = tick
 	}
 
-	// Find the first fully quiet window after warm-up. AllocsPerRun performs
-	// one extra warm-up call, and we pad one tick on each side so a
+	// Find the first fully quiet window after warm-up. AllocsPerRun runs the
+	// window once more as warm-up, and we pad one tick on each side so a
 	// transition adjacent to the window cannot bleed into it.
+	const quietTicks = 2*measureTicks + 2
 	start := -1
-	for s := warmTicks; s+measureTicks+2 <= scoutTicks; s++ {
+	for s := warmTicks; s+quietTicks <= scoutTicks; s++ {
 		ok := true
-		for i := s; i < s+measureTicks+2; i++ {
+		for i := s; i < s+quietTicks; i++ {
 			if !quiet[i] {
 				ok = false
 				break
@@ -71,27 +83,129 @@ func assertZeroAllocTicks(t *testing.T, cfg Config) {
 		}
 	}
 	if start < 0 {
-		t.Fatalf("no transition-free window of %d ticks found in %d scouted ticks", measureTicks+2, scoutTicks)
+		t.Fatalf("no transition-free window of %d ticks found in %d scouted ticks", quietTicks, scoutTicks)
 	}
 
 	// Measurement pass on a fresh, byte-identical session.
+	se := sessionBefore(t, cfg, start)
+	window := func() {
+		for i := 0; i < measureTicks; i++ {
+			if _, ok := se.Step(); !ok {
+				t.Fatal("session ended mid-measurement")
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(1, window)
+	if allocs != 0 {
+		// Replay the same warm-up and measured window on another fresh
+		// session, this time sampling every allocation.
+		se = sessionBefore(t, cfg, start)
+		window()
+		t.Fatalf("steady-state control ticks allocate: %v allocs in ticks %d..%d, want 0; top allocating frames:%s",
+			allocs, start+measureTicks, start+2*measureTicks-1, allocSites(window))
+	}
+}
+
+// sessionBefore returns a fresh session for cfg stepped to just before tick.
+func sessionBefore(t *testing.T, cfg Config, tick int) *Session {
+	t.Helper()
 	se, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < start; i++ {
+	for i := 1; i < tick; i++ {
 		if _, ok := se.Step(); !ok {
 			t.Fatalf("session ended at tick %d", i)
 		}
 	}
-	avg := testing.AllocsPerRun(measureTicks, func() {
-		if _, ok := se.Step(); !ok {
-			t.Fatal("session ended mid-measurement")
+	return se
+}
+
+// allocSites runs f with runtime.MemProfileRate = 1, so every allocation is
+// sampled, and lists the frames that allocated most: the first frame of
+// each allocating stack outside the runtime, skipping stacks that start in
+// test code (the profiling itself allocates). The garbage collections that
+// publish the profile also drain sync.Pools, so a few pool refills can rank
+// below the real culprits. The previous rate is restored before returning.
+func allocSites(f func()) string {
+	prev := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() { runtime.MemProfileRate = prev }()
+	before := memProfile()
+	f()
+	after := memProfile()
+
+	counts := make(map[string]int64)
+	for stk, n := range after {
+		if n -= before[stk]; n > 0 {
+			if site := allocSite(stk); site != "" {
+				counts[site] += n
+			}
 		}
+	}
+	sites := make([]string, 0, len(counts))
+	for site := range counts {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool {
+		if counts[sites[i]] != counts[sites[j]] {
+			return counts[sites[i]] > counts[sites[j]]
+		}
+		return sites[i] < sites[j]
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state control tick allocates: %v allocs/op (ticks %d..%d), want 0",
-			avg, start, start+measureTicks)
+	if len(sites) > 5 {
+		sites = sites[:5]
+	}
+	var b strings.Builder
+	for _, site := range sites {
+		fmt.Fprintf(&b, "\n\t%d x %s", counts[site], site)
+	}
+	return b.String()
+}
+
+// memProfile returns the cumulative allocation count per stack as of a
+// fresh garbage collection, which publishes every allocation made so far.
+func memProfile() map[[32]uintptr]int64 {
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	out := make(map[[32]uintptr]int64, len(recs))
+	for _, r := range recs {
+		out[r.Stack0] += r.AllocObjects
+	}
+	return out
+}
+
+// allocSite names the first non-runtime frame of an allocation stack as
+// "pkg/file.go:line (function)", or "" when that frame is test code.
+func allocSite(stk [32]uintptr) string {
+	var pcs []uintptr
+	for _, pc := range stk {
+		if pc == 0 {
+			break
+		}
+		pcs = append(pcs, pc)
+	}
+	frames := runtime.CallersFrames(pcs)
+	for {
+		fr, more := frames.Next()
+		if !strings.HasPrefix(fr.Function, "runtime.") && !strings.HasPrefix(fr.Function, "internal/runtime/") {
+			if strings.HasSuffix(fr.File, "_test.go") {
+				return ""
+			}
+			file := filepath.Join(filepath.Base(filepath.Dir(fr.File)), filepath.Base(fr.File))
+			return fmt.Sprintf("%s:%d (%s)", file, fr.Line, fr.Function)
+		}
+		if !more {
+			return ""
+		}
 	}
 }
 

@@ -121,7 +121,6 @@ func (s *Site) report(d time.Duration) Report {
 
 // --- control loop ---
 
-//worksim:hotpath
 func (s *Site) controlTick(now time.Duration) {
 	dt := s.cfg.TickPeriod
 	s.moveWorkers(dt)
@@ -147,8 +146,6 @@ const stopReasonRiskMode = "live-risk-mode"
 // updateOperatingMode derives the operating mode from the live risk register
 // (ISO/SAE 21434 continuous activities) and drives the forwarder's
 // security-response latches.
-//
-//worksim:hotpath
 func (s *Site) updateOperatingMode(now time.Duration) {
 	if s.assessor == nil {
 		return
@@ -162,7 +159,7 @@ func (s *Site) updateOperatingMode(now time.Duration) {
 		s.publishSecurityResponse(SecurityResponse{
 			At:     now,
 			Kind:   ResponseModeEscalation,
-			Detail: fmt.Sprintf("%s -> %s", s.mode, mode), //worksim:allow mode escalations are discrete transitions, excluded from the steady-state zero-alloc window
+			Detail: fmt.Sprintf("%s -> %s", s.mode, mode),
 		})
 	}
 	s.publishModeChange(ModeChange{At: now, From: s.mode.String(), To: mode.String()})
@@ -191,8 +188,6 @@ func ticksPerSecond(dt time.Duration) int {
 // moveWorkers advances each worker toward its waypoint; on arrival a new
 // waypoint is drawn near the harvest site, occasionally crossing toward the
 // forwarder (the hazardous interaction the safety function exists for).
-//
-//worksim:hotpath
 func (s *Site) moveWorkers(dt time.Duration) {
 	for _, w := range s.workers {
 		if w.pos.Dist(w.target) < 1 {
@@ -212,8 +207,6 @@ func (s *Site) moveWorkers(dt time.Duration) {
 
 // droneTick keeps the drone orbiting the forwarder and streams its aerial
 // detections down — the Fig. 2 collaborative safety function.
-//
-//worksim:hotpath
 func (s *Site) droneTick(dt time.Duration) {
 	s.droneAngle += 0.4 * dt.Seconds()
 	orbit := s.forwarder.Pose.Pos.Add(
@@ -236,8 +229,6 @@ func (s *Site) droneTick(dt time.Duration) {
 
 // targets snapshots the ground-truth sensor targets into a reused scratch
 // buffer; the result is valid until the next call.
-//
-//worksim:hotpath
 func (s *Site) targets() []sensors.Target {
 	out := s.scratchTargets[:0]
 	for _, w := range s.workers {
@@ -247,7 +238,6 @@ func (s *Site) targets() []sensors.Target {
 	return out
 }
 
-//worksim:hotpath
 func (s *Site) forwarderTick(now time.Duration, dt time.Duration) {
 	s.updateLocalization(now)
 	s.updateCommsFailSafe(now)
@@ -257,8 +247,6 @@ func (s *Site) forwarderTick(now time.Duration, dt time.Duration) {
 
 // updateLocalization samples GNSS, maintains the believed position, and runs
 // the plausibility guard when enabled.
-//
-//worksim:hotpath
 func (s *Site) updateLocalization(now time.Duration) {
 	reading := s.fwGNSS.Sample(s.forwarder.Pose.Pos)
 	verdict := s.fwGuard.Check(reading, now.Seconds())
@@ -280,7 +268,6 @@ func (s *Site) updateLocalization(now time.Duration) {
 	s.lastVerdictOK, s.lastVerdictWhy = verdict.Trustworthy, verdict.Reason
 }
 
-//worksim:hotpath
 func (s *Site) updateCommsFailSafe(now time.Duration) {
 	if !s.cfg.Profile.CommsFailSafe {
 		return
@@ -291,8 +278,6 @@ func (s *Site) updateCommsFailSafe(now time.Duration) {
 // setFailSafe drives a fail-safe stop latch and publishes a SafetyEvent on
 // each transition. latched is the site-side shadow of the latch state (the
 // machine dedups internally, but transitions are an event concern).
-//
-//worksim:hotpath
 func (s *Site) setFailSafe(now time.Duration, reason string, latched *bool, on bool) {
 	if on != *latched {
 		*latched = on
@@ -309,8 +294,6 @@ func (s *Site) setFailSafe(now time.Duration, reason string, latched *bool, on b
 // drives the protective fields. Detections accumulate in a site-owned
 // scratch buffer (each sensor's Scan result is itself a reused buffer, so
 // the copies here are what decouple their lifetimes).
-//
-//worksim:hotpath
 func (s *Site) updatePerception(now time.Duration) {
 	targets := s.targets()
 	pos := s.forwarder.Pose.Pos
@@ -333,8 +316,6 @@ func (s *Site) updatePerception(now time.Duration) {
 // believed (GNSS) frame: under an undetected spoof the control error steers
 // the true position off course — exactly the hazardous effect the guard and
 // the E5 experiment quantify.
-//
-//worksim:hotpath
 func (s *Site) missionStep(now time.Duration, dt time.Duration) {
 	switch s.mission {
 	case phaseToHarvest, phaseToLanding:
@@ -403,8 +384,6 @@ func (s *Site) missionStep(now time.Duration, dt time.Duration) {
 
 // drive moves the forwarder toward the current waypoint in the believed
 // frame.
-//
-//worksim:hotpath
 func (s *Site) drive(dt time.Duration) {
 	speed := s.forwarder.EffectiveSpeed()
 	if speed <= 0 {
@@ -443,7 +422,6 @@ func (s *Site) planTo(goal, from geo.Vec) {
 	s.navIdx = 0
 }
 
-//worksim:hotpath
 func (s *Site) sendForwarderStatus(now time.Duration) {
 	s.send(NodeForwarder, NodeCoordinator, wireMsg{
 		Type:    "status",
@@ -461,8 +439,6 @@ func (s *Site) sendForwarderStatus(now time.Duration) {
 // it: safety transitions first, then the tick snapshot. The KPI
 // accumulation itself lives in the built-in metricsObserver, so external
 // subscribers read the exact stream the report is computed from.
-//
-//worksim:hotpath
 func (s *Site) scoreTick(now time.Duration) {
 	pos := s.forwarder.Pose.Pos
 	minDist := math.Inf(1)

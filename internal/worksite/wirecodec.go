@@ -28,7 +28,6 @@ import (
 // steady-state decoding performs zero string allocations.
 type internTable map[string]string
 
-//worksim:hotpath
 func (t internTable) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -44,8 +43,6 @@ func (t internTable) get(b []byte) string {
 // fastParseWireMsg parses payload into msg, returning false (with msg in an
 // unspecified state) when the input falls outside the fast grammar. msg must
 // be reset by the caller beforehand.
-//
-//worksim:hotpath
 func fastParseWireMsg(payload []byte, msg *wireMsg, intern internTable) bool {
 	p := wireParser{b: payload, intern: intern}
 	if !p.parseTopLevel(msg) {
@@ -61,7 +58,6 @@ type wireParser struct {
 	intern internTable
 }
 
-//worksim:hotpath
 func (p *wireParser) ws() {
 	for p.i < len(p.b) {
 		switch p.b[p.i] {
@@ -73,7 +69,6 @@ func (p *wireParser) ws() {
 	}
 }
 
-//worksim:hotpath
 func (p *wireParser) eat(c byte) bool {
 	if p.i < len(p.b) && p.b[p.i] == c {
 		p.i++
@@ -82,7 +77,6 @@ func (p *wireParser) eat(c byte) bool {
 	return false
 }
 
-//worksim:hotpath
 func (p *wireParser) peek() (byte, bool) {
 	if p.i < len(p.b) {
 		return p.b[p.i], true
@@ -92,8 +86,6 @@ func (p *wireParser) peek() (byte, bool) {
 
 // parseString parses a JSON string containing only printable ASCII without
 // escapes and returns the raw bytes between the quotes.
-//
-//worksim:hotpath
 func (p *wireParser) parseString() ([]byte, bool) {
 	if !p.eat('"') {
 		return nil, false
@@ -116,8 +108,6 @@ func (p *wireParser) parseString() ([]byte, bool) {
 
 // parseNumberToken scans a JSON number token and validates it against the
 // JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-//
-//worksim:hotpath
 func (p *wireParser) parseNumberToken() ([]byte, bool) {
 	start := p.i
 	i, b := p.i, p.b
@@ -159,7 +149,6 @@ func (p *wireParser) parseNumberToken() ([]byte, bool) {
 	return b[start:i], true
 }
 
-//worksim:hotpath
 func (p *wireParser) parseFloat() (float64, bool) {
 	tok, ok := p.parseNumberToken()
 	if !ok {
@@ -174,7 +163,6 @@ func (p *wireParser) parseFloat() (float64, bool) {
 	return v, true
 }
 
-//worksim:hotpath
 func (p *wireParser) parseUint() (uint64, bool) {
 	tok, ok := p.parseNumberToken()
 	if !ok {
@@ -194,7 +182,6 @@ func (p *wireParser) parseUint() (uint64, bool) {
 	return v, true
 }
 
-//worksim:hotpath
 func (p *wireParser) parseBool() (bool, bool) {
 	if p.i+4 <= len(p.b) && string(p.b[p.i:p.i+4]) == "true" {
 		p.i += 4
@@ -207,7 +194,6 @@ func (p *wireParser) parseBool() (bool, bool) {
 	return false, false
 }
 
-//worksim:hotpath
 func (p *wireParser) parseTopLevel(msg *wireMsg) bool {
 	p.ws()
 	if !p.eat('{') {
@@ -241,7 +227,6 @@ func (p *wireParser) parseTopLevel(msg *wireMsg) bool {
 	}
 }
 
-//worksim:hotpath
 func (p *wireParser) parseTopValue(msg *wireMsg, key []byte) bool {
 	switch string(key) { // compiler-optimised: no conversion alloc
 	case "type":
@@ -277,7 +262,6 @@ func (p *wireParser) parseTopValue(msg *wireMsg, key []byte) bool {
 	}
 }
 
-//worksim:hotpath
 func (p *wireParser) stringInto(dst *string) bool {
 	s, ok := p.parseString()
 	if !ok {
@@ -287,7 +271,6 @@ func (p *wireParser) stringInto(dst *string) bool {
 	return true
 }
 
-//worksim:hotpath
 func (p *wireParser) parseDetections(msg *wireMsg) bool {
 	if !p.eat('[') {
 		return false
@@ -316,7 +299,6 @@ func (p *wireParser) parseDetections(msg *wireMsg) bool {
 	}
 }
 
-//worksim:hotpath
 func (p *wireParser) parseDetection(d *sensors.Detection) bool {
 	if !p.eat('{') {
 		return false
@@ -374,7 +356,6 @@ func (p *wireParser) parseDetection(d *sensors.Detection) bool {
 	}
 }
 
-//worksim:hotpath
 func (p *wireParser) parseVec(v *geo.Vec) bool {
 	if !p.eat('{') {
 		return false
