@@ -47,8 +47,9 @@
 //     trajectory is diffable PR over PR.
 //
 // Performance: the per-tick control loop is allocation-free in steady state
-// (scratch buffers, pooled tracks/frames/events, a reused wire codec),
-// locked at 0 allocs/op by TestTickLoopZeroAllocs. See the README's
+// (scratch buffers, pooled tracks/frames/events, an append-style wire
+// encoder and a fast-path parser over one closed grammar), locked at
+// 0 allocs/op by TestTickLoopZeroAllocs. See the README's
 // "Performance" section for the recorded numbers and how to regenerate
 // them.
 //

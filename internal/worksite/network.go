@@ -20,7 +20,9 @@ import (
 )
 
 // wireMsg is the application-layer envelope exchanged between worksite
-// actors.
+// actors. Its JSON form is json.Marshal's; appendWireMsg and
+// fastParseWireMsg (wirecodec.go) hand-code that form, so a field or tag
+// change here must be mirrored there.
 type wireMsg struct {
 	Type string `json:"type"` // heartbeat | status | detections | command
 	From string `json:"from"`
@@ -375,20 +377,18 @@ func (s *Site) associateLinks() error {
 
 // send transmits an application message from -> to, sealing it when the
 // secured profile is active. Send errors are expected under attack (link
-// torn down) and are absorbed as lost traffic.
+// torn down) and are absorbed as lost traffic. A message json.Marshal would
+// reject (a NaN or infinite float) is dropped unsent.
 //
-// Encoding reuses the site's buffer and encoder: Encode produces exactly
-// json.Marshal's bytes plus a trailing newline (trimmed below), and the
-// adapter copies the payload into its own frame storage before Transmit
-// returns, so the buffer is free for the next message immediately.
+// appendWireMsg encodes into the site's reused buffer, and the adapter
+// copies the payload into its own frame storage before Transmit returns, so
+// the buffer is free for the next message immediately.
 func (s *Site) send(from, to radio.NodeID, msg wireMsg) {
-	s.sendScratch = msg
-	s.sendBuf.Reset()
-	if err := s.sendEnc.Encode(&s.sendScratch); err != nil {
+	payload, ok := appendWireMsg(s.wireBuf[:0], &msg)
+	s.wireBuf = payload
+	if !ok {
 		return
 	}
-	payload := s.sendBuf.Bytes()
-	payload = payload[:len(payload)-1]
 	if s.cfg.Profile.SecureChannels {
 		ch := s.channels[chanKey{from, to}]
 		if ch == nil {
@@ -440,11 +440,12 @@ func (s *Site) handleAppPayload(local, from radio.NodeID, payload []byte) {
 		payload = plain
 	}
 	// Parse into the reused receive scratch: the fast path covers everything
-	// the encoder above emits; anything else (hostile or malformed input)
-	// falls back to encoding/json for the authoritative verdict. The
-	// fallback decodes into a fresh message — the stdlib merges into
-	// within-capacity slice elements without zeroing them, so reusing the
-	// scratch there would leak fields of an earlier message into this one.
+	// appendWireMsg emits for the simulator's own messages; anything else
+	// (hostile or malformed input) falls back to encoding/json for the
+	// authoritative verdict. The fallback decodes into a fresh message — the
+	// stdlib merges into within-capacity slice elements without zeroing
+	// them, so reusing the scratch there would leak fields of an earlier
+	// message into this one.
 	msg := &s.recvMsg
 	*msg = wireMsg{Detections: msg.Detections[:0]}
 	if !fastParseWireMsg(payload, msg, s.intern) {

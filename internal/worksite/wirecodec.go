@@ -1,27 +1,192 @@
 package worksite
 
 import (
+	"math"
 	"strconv"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/sensors"
 )
 
-// Wire-message fast codec.
+// Wire-message codec.
 //
 // Every application message on the worksite network is a JSON-encoded
-// wireMsg, produced by encoding/json; the drone streams one detections
-// message per control tick, so decoding is squarely on the simulation's hot
-// path. fastParseWireMsg parses exactly the closed grammar encoding/json
-// emits for wireMsg — ASCII strings without escapes, JSON numbers, the known
-// key set — into a caller-owned message without allocating (strings are
-// interned, the detections slice is reused). Anything outside that grammar
-// (escape sequences, non-ASCII bytes, unknown keys, null, malformed input)
-// makes it return false, and the caller falls back to encoding/json — so the
-// fast path can only ever accept inputs the stdlib would accept, with
-// identical results, and every divergent or hostile input is judged by the
-// stdlib itself. TestWireCodecDifferential locks that equivalence.
+// wireMsg; the drone streams one detections message per control tick, so
+// both directions are squarely on the simulation's hot path. This file
+// holds both halves of one closed grammar:
+//
+//   - appendWireMsg encodes a message into a caller-owned buffer, producing
+//     exactly json.Marshal's bytes (field order, omitempty, float format,
+//     string escaping) without reflection or allocation. The bytes are
+//     observable — their length sets radio airtime, and forged JSON is the
+//     command-injection threat model — so the format is fixed by the
+//     stdlib, not by this encoder. TestAppendWireMsgMatchesMarshal and
+//     FuzzWireCodec lock the equivalence.
+//   - fastParseWireMsg parses that grammar, restricted to ASCII strings
+//     without escapes (every string the simulator itself sends), into a
+//     caller-owned message without allocating (strings are interned, the detections slice is
+//     reused). Anything outside it (escape sequences, non-ASCII bytes,
+//     unknown keys, null, malformed input) makes it return false, and the
+//     caller falls back to encoding/json — so the fast path can only ever
+//     accept inputs the stdlib would accept, with identical results, and
+//     every divergent or hostile input is judged by the stdlib itself.
+//     TestWireCodecDifferential locks that equivalence.
+
+// appendWireMsg appends the JSON encoding of msg to b and returns the
+// extended buffer. The bytes are exactly json.Marshal(msg)'s. ok is false
+// exactly when json.Marshal would fail — a NaN or infinite float anywhere
+// in the message — and then b is returned at its original length.
+func appendWireMsg(b []byte, msg *wireMsg) ([]byte, bool) {
+	start := len(b)
+	b = append(b, `{"type":`...)
+	b = appendWireString(b, msg.Type)
+	b = append(b, `,"from":`...)
+	b = appendWireString(b, msg.From)
+	if msg.Seq != 0 {
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, msg.Seq, 10)
+	}
+	ok := true
+	if msg.PosX != 0 {
+		b = append(b, `,"posX":`...)
+		b, ok = appendWireFloat(b, msg.PosX)
+	}
+	if ok && msg.PosY != 0 {
+		b = append(b, `,"posY":`...)
+		b, ok = appendWireFloat(b, msg.PosY)
+	}
+	if !ok {
+		return b[:start], false
+	}
+	if msg.State != "" {
+		b = append(b, `,"state":`...)
+		b = appendWireString(b, msg.State)
+	}
+	if msg.GNSSOK {
+		b = append(b, `,"gnssOk":true`...)
+	}
+	if msg.GNSSWhy != "" {
+		b = append(b, `,"gnssWhy":`...)
+		b = appendWireString(b, msg.GNSSWhy)
+	}
+	if len(msg.Detections) > 0 {
+		b = append(b, `,"detections":[`...)
+		for i := range msg.Detections {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, ok = appendDetection(b, &msg.Detections[i]); !ok {
+				return b[:start], false
+			}
+		}
+		b = append(b, ']')
+	}
+	if msg.Command != "" {
+		b = append(b, `,"command":`...)
+		b = appendWireString(b, msg.Command)
+	}
+	return append(b, '}'), true
+}
+
+// appendDetection encodes one sensors.Detection; none of its fields is
+// omitempty.
+func appendDetection(b []byte, d *sensors.Detection) ([]byte, bool) {
+	b = append(b, `{"targetId":`...)
+	b = appendWireString(b, d.TargetID)
+	b = append(b, `,"pos":{"x":`...)
+	b, okX := appendWireFloat(b, d.Pos.X)
+	b = append(b, `,"y":`...)
+	b, okY := appendWireFloat(b, d.Pos.Y)
+	b = append(b, `},"confidence":`...)
+	b, okC := appendWireFloat(b, d.Confidence)
+	b = append(b, `,"sensor":`...)
+	b = appendWireString(b, d.Sensor)
+	if d.FalsePositive {
+		b = append(b, `,"falsePositive":true}`...)
+	} else {
+		b = append(b, `,"falsePositive":false}`...)
+	}
+	return b, okX && okY && okC
+}
+
+// appendWireFloat formats f the way encoding/json does for a float64: the
+// shortest 'f' representation, switching to 'e' outside [1e-6, 1e21) with
+// the exponent's leading zero dropped (e-07 -> e-7). NaN and ±Inf have no
+// JSON form and report false.
+func appendWireFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, true
+}
+
+// appendWireString quotes s with encoding/json's default (HTML-safe)
+// escaping: \" \\ and the short control escapes, \u00XX for the other
+// control bytes and for < > &, \u2028/\u2029 for the JavaScript line
+// separators, and \ufffd for each byte of invalid UTF-8.
+func appendWireString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
 
 // internTable deduplicates the small closed set of strings that ride the
 // wire (message types, node names, states, sensor names, verdict reasons) so
@@ -75,13 +240,6 @@ func (p *wireParser) eat(c byte) bool {
 		return true
 	}
 	return false
-}
-
-func (p *wireParser) peek() (byte, bool) {
-	if p.i < len(p.b) {
-		return p.b[p.i], true
-	}
-	return 0, false
 }
 
 // parseString parses a JSON string containing only printable ASCII without

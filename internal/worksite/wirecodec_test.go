@@ -2,6 +2,7 @@ package worksite
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -40,9 +41,10 @@ func checkAgainstStdlib(t *testing.T, payload []byte) {
 	}
 }
 
-// TestWireCodecDifferential feeds the fast parser every message shape the
-// worksite actually sends (marshalled by the same encoder production uses)
-// plus edge and hostile inputs, checking equivalence with encoding/json.
+// TestWireCodecDifferential feeds the codec every message shape the worksite
+// actually sends — the encoder must match json.Marshal on each, and the
+// parser must accept the result — plus edge and hostile inputs, checking
+// equivalence with encoding/json.
 func TestWireCodecDifferential(t *testing.T) {
 	msgs := []wireMsg{
 		{},
@@ -59,6 +61,7 @@ func TestWireCodecDifferential(t *testing.T) {
 		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{}},
 	}
 	for _, m := range msgs {
+		checkEncodeAgainstStdlib(t, &m)
 		data, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
@@ -157,20 +160,24 @@ func FuzzWireCodec(f *testing.F) {
 		`{"type":"detections","from":"drone-1","detections":[{"targetId":"worker-1","pos":{"x":1.5,"y":-2},"confidence":0.9,"sensor":"aerial-camera","falsePositive":false}]}`,
 		`{"type":"command","from":"attacker","command":"clear-stops","seq":7}`,
 		`{"posX":1e308,"posY":-1e-308}`,
+		`{"type":"<&>\u2028\"\\\n","from":"\u0001\u007f","state":"caf\u00e9"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var std wireMsg
+		stdErr := json.Unmarshal(data, &std)
+		if stdErr == nil {
+			checkEncodeAgainstStdlib(t, &std)
+		}
 		intern := make(internTable)
 		var fast wireMsg
-		ok := fastParseWireMsg(data, &fast, intern)
-		if !ok {
+		if !fastParseWireMsg(data, &fast, intern) {
 			return
 		}
-		var std wireMsg
-		if err := json.Unmarshal(data, &std); err != nil {
-			t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", err, data)
+		if stdErr != nil {
+			t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", stdErr, data)
 		}
 		if len(fast.Detections) == 0 {
 			fast.Detections = nil
@@ -182,6 +189,180 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("divergence on %q:\nfast: %+v\nstd:  %+v", data, fast, std)
 		}
 	})
+}
+
+// checkEncodeAgainstStdlib asserts the encoder's contract for one message:
+// appendWireMsg succeeds exactly when json.Marshal does, with the same
+// bytes, appended after whatever the buffer already holds; on failure the
+// buffer comes back at its original length.
+func checkEncodeAgainstStdlib(t *testing.T, msg *wireMsg) {
+	t.Helper()
+	want, err := json.Marshal(msg)
+	prefix := []byte("prefix")
+	got, ok := appendWireMsg(prefix, msg)
+	if ok != (err == nil) {
+		t.Fatalf("appendWireMsg ok=%v, json.Marshal err=%v for %+v", ok, err, *msg)
+	}
+	if !ok {
+		if string(got) != "prefix" {
+			t.Fatalf("failed encode left %q in the buffer, want %q", got, "prefix")
+		}
+		return
+	}
+	if string(got) != "prefix"+string(want) {
+		t.Fatalf("encoding diverges from json.Marshal for %+v:\ngot:  %s\nwant: prefix%s", *msg, got, want)
+	}
+}
+
+// TestAppendWireMsgMatchesMarshal covers what the fuzzer cannot reach
+// through json.Unmarshal: strings the stdlib would never decode to (invalid
+// UTF-8, raw control bytes), HTML and JavaScript escapes, float formatting
+// edges, every omitempty combination, and the non-finite floats that must
+// fail the encode.
+func TestAppendWireMsgMatchesMarshal(t *testing.T) {
+	det := sensors.Detection{TargetID: "worker-1", Pos: geo.V(200.5, -3), Confidence: 0.92, Sensor: "aerial-camera"}
+	var msgs []wireMsg
+
+	for _, str := range []string{
+		"<", ">", "&", "a<b>&c", "\xff", "bad\xff\xfeutf8", "\xe2\x80",
+		"\u2028", "\u2029", "x\u2028y\u2029z", "\b", "\f", "\x01", "\x1f", "\x7f",
+		"\"", "\\", "\n\r\t", "caf\u00e9", "\U0001F332", "",
+	} {
+		msgs = append(msgs,
+			wireMsg{Type: str, From: str, State: str, GNSSWhy: str, Command: str},
+			wireMsg{Type: "detections", Detections: []sensors.Detection{{TargetID: str, Sensor: str}}})
+	}
+
+	for _, f := range []float64{
+		math.Copysign(0, -1), 1e-7, 1e-6, 1e21, 1e20, 5e-324, math.MaxFloat64, -math.MaxFloat64,
+		0.1, -123.456789012345, 1e-100, 123456789012345678901234567890.5,
+	} {
+		d := det
+		d.Pos, d.Confidence = geo.V(f, -f), f
+		msgs = append(msgs,
+			wireMsg{Type: "status", PosX: f, PosY: -f},
+			wireMsg{Type: "detections", Detections: []sensors.Detection{d}})
+	}
+
+	// Every omitempty combination: each field present and absent alongside
+	// every other.
+	for mask := 0; mask < 1<<8; mask++ {
+		m := wireMsg{Type: "status", From: "forwarder-1"}
+		if mask&1 != 0 {
+			m.Seq = 18446744073709551615
+		}
+		if mask&2 != 0 {
+			m.PosX = 204.35
+		}
+		if mask&4 != 0 {
+			m.PosY = -199.9
+		}
+		if mask&8 != 0 {
+			m.State = "driving"
+		}
+		if mask&16 != 0 {
+			m.GNSSOK = true
+		}
+		if mask&32 != 0 {
+			m.GNSSWhy = "position jump exceeds max speed"
+		}
+		if mask&64 != 0 {
+			m.Detections = []sensors.Detection{det, {FalsePositive: true}}
+		}
+		if mask&128 != 0 {
+			m.Command = CommandClearStops
+		}
+		msgs = append(msgs, m)
+	}
+	msgs = append(msgs,
+		wireMsg{Type: "detections", Detections: nil},
+		wireMsg{Type: "detections", Detections: []sensors.Detection{}})
+
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := det
+		bad.Confidence = f
+		msgs = append(msgs,
+			wireMsg{Type: "status", PosX: f, PosY: 1},
+			wireMsg{Type: "status", PosX: 1, PosY: f},
+			wireMsg{Type: "detections", Detections: []sensors.Detection{det, bad}},
+			wireMsg{Type: "detections", Detections: []sensors.Detection{{Pos: geo.V(f, 0)}}},
+			wireMsg{Type: "detections", Detections: []sensors.Detection{{Pos: geo.V(0, f)}}})
+	}
+
+	for i := range msgs {
+		checkEncodeAgainstStdlib(t, &msgs[i])
+	}
+}
+
+// TestSendDropsUnencodableMessage locks the send path's failure mode: a
+// message json.Marshal would reject never reaches the radio.
+func TestSendDropsUnencodableMessage(t *testing.T) {
+	site, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := func(x float64) wireMsg {
+		return wireMsg{Type: "status", From: string(NodeForwarder), PosX: x, PosY: 1, State: "driving"}
+	}
+	before := site.med.Stats().Transmissions
+	site.send(NodeForwarder, NodeCoordinator, status(math.NaN()))
+	if got := site.med.Stats().Transmissions; got != before {
+		t.Fatalf("NaN status transmitted %d frame(s)", got-before)
+	}
+	// The same message with a finite position does go out, so the check
+	// above is not vacuous.
+	site.send(NodeForwarder, NodeCoordinator, status(2))
+	if got := site.med.Stats().Transmissions; got != before+1 {
+		t.Fatalf("finite status transmitted %d frame(s), want 1", got-before)
+	}
+}
+
+// benchWireMsg is the drone's per-tick detections message with three
+// detections, the hottest message shape on the worksite network.
+func benchWireMsg() wireMsg {
+	return wireMsg{Type: "detections", From: string(NodeDrone), Detections: []sensors.Detection{
+		{TargetID: "worker-1", Pos: geo.V(204.35118423, 199.9027731), Confidence: 0.9187, Sensor: "aerial-camera"},
+		{TargetID: "worker-2", Pos: geo.V(187.00731, 215.4471902), Confidence: 0.7342, Sensor: "aerial-camera"},
+		{TargetID: "clutter", Pos: geo.V(230.1, 180.66), Confidence: 0.3101, Sensor: "aerial-camera", FalsePositive: true},
+	}}
+}
+
+// BenchmarkWireEncode is the wire-encode rung of the per-layer ladder: one
+// appendWireMsg into a reused buffer, as Site.send does.
+func BenchmarkWireEncode(b *testing.B) {
+	msg := benchWireMsg()
+	buf, _ := appendWireMsg(nil, &msg)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if buf, ok = appendWireMsg(buf[:0], &msg); !ok {
+			b.Fatal("encode failed")
+		}
+	}
+}
+
+// BenchmarkWireDecode is the wire-decode rung: one fast-path parse into the
+// reused receive scratch with interning, as handleAppPayload does.
+func BenchmarkWireDecode(b *testing.B) {
+	msg := benchWireMsg()
+	payload, ok := appendWireMsg(nil, &msg)
+	if !ok {
+		b.Fatal("encode failed")
+	}
+	intern := make(internTable)
+	var dst wireMsg
+	fastParseWireMsg(payload, &dst, intern) // fill the intern table and slice
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = wireMsg{Detections: dst.Detections[:0]}
+		if !fastParseWireMsg(payload, &dst, intern) {
+			b.Fatal("decode rejected its own encoding")
+		}
+	}
 }
 
 // TestFallbackDecodeDoesNotLeakScratch locks the fix for a scratch-reuse

@@ -12,8 +12,6 @@
 package worksite
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -244,16 +242,14 @@ type Site struct {
 
 	// Per-tick scratch state. The control loop runs at 2 Hz for every
 	// simulated machine-minute, so its working set is reused tick over tick:
-	// target/detection/position buffers, the wire-message encoder, and the
-	// receive-side parse scratch. A steady-state tick performs zero heap
+	// target/detection/position buffers, the wire-message send buffer, and
+	// the receive-side parse scratch. A steady-state tick performs zero heap
 	// allocations (locked by TestTickLoopZeroAllocs).
 	ticksPerSec      int
 	scratchTargets   []sensors.Target
 	scratchDets      []sensors.Detection
 	scratchPositions []geo.Vec
-	sendBuf          bytes.Buffer
-	sendEnc          *json.Encoder
-	sendScratch      wireMsg
+	wireBuf          []byte
 	recvMsg          wireMsg
 	intern           internTable
 
@@ -338,7 +334,6 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		mission:  phaseToHarvest,
 		intern:   make(internTable),
 	}
-	s.sendEnc = json.NewEncoder(&s.sendBuf)
 	s.ticksPerSec = ticksPerSecond(cfg.TickPeriod)
 	s.landing = geo.V(0.15*grid.Width(), 0.5*grid.Height())
 	s.harvest = geo.V(0.85*grid.Width(), 0.5*grid.Height())
