@@ -41,17 +41,12 @@
 //     streaming with replay, API-key auth, per-key rate limiting, job
 //     quotas and graceful drain. A daemon run's report is byte-identical
 //     to an in-process worksim run at the same parameters.
-//   - worksim/bench — the tracked benchmark harness: a named catalog of
-//     micro/macro benchmarks (single tick, full E1 run, 32-seed sweep) that
-//     cmd/bench persists as BENCH_<date>.json so the hot path's performance
-//     trajectory is diffable PR over PR.
 //
 // Performance: the per-tick control loop is allocation-free in steady state
 // (scratch buffers, pooled tracks/frames/events, an append-style wire
 // encoder and a fast-path parser over one closed grammar), locked at
 // 0 allocs/op by TestTickLoopZeroAllocs. See the README's
-// "Performance" section for the recorded numbers and how to regenerate
-// them.
+// "Performance" section for how to time it.
 //
 // Execution is context-aware end to end: Session.RunFor/RunUntil/Run and
 // the campaign worker pool observe cancellation between control ticks and

@@ -136,7 +136,7 @@ func TestJSONSchemaGolden(t *testing.T) {
 		},
 		{
 			Analyzer: "allowdirective",
-			Pos:      token.Position{Filename: "/m/worksim/bench/persist.go", Line: 1, Column: 1},
+			Pos:      token.Position{Filename: "/m/cmd/worksimlint/main.go", Line: 1, Column: 1},
 			Message:  "//worksim:allow suppresses nothing (orphaned)",
 		},
 	}
@@ -153,7 +153,7 @@ func TestJSONSchemaGolden(t *testing.T) {
     "message": "time.Now reads the wall clock"
   },
   {
-    "file": "worksim/bench/persist.go",
+    "file": "cmd/worksimlint/main.go",
     "line": 1,
     "col": 1,
     "analyzer": "allowdirective",

@@ -461,20 +461,11 @@ func (e *sweepEnv) done() {
 	}
 }
 
-// execute runs one (scenario, profile, seed) simulation. The plain path (no
-// sampling, no early stop) closes the loop with scenario.Run; the
-// instrumented path drives a session tick by tick, so the two are the same
-// simulation advanced in different strides — deterministically identical
-// when no predicate cuts the run short.
+// execute runs one (scenario, profile, seed) simulation over the cell's
+// shared commission, sampled when SampleEvery is set and cut short when
+// EarlyStop fires. With a nil predicate RunUntil advances straight to the
+// horizon in one RunFor, the stride scenario.Run takes.
 func (e *sweepEnv) execute(ctx context.Context, cell cellRef, p Params) (Outcome, error) {
-	if e.opts.SampleEvery <= 0 && e.opts.EarlyStop == nil {
-		rep, err := cell.batch.Run(ctx, p.Seed, p.Duration)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Metrics: SweepMetrics(rep)}, nil
-	}
-
 	sess, _, err := cell.batch.Build(p.Seed, p.Duration)
 	if err != nil {
 		return Outcome{}, err

@@ -265,7 +265,7 @@ func init() {
 			}
 			// No record loop (records = 0): RecordsPerSec is wall-clock and
 			// deliberately not a campaign metric; throughput lives in
-			// BenchmarkSealOpen256.
+			// BenchmarkSim/securechan-seal and BenchmarkSim/securechan-open.
 			m := map[string]float64{
 				"handshake_ok":     b2f(res.HandshakeOK),
 				"tampers_detected": float64(res.TamperTable.Rows() - 1),
