@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -173,6 +174,29 @@ func TestRunPropagatesError(t *testing.T) {
 	_, err := Run(context.Background(), boom, Options{Seeds: SeedRange{Base: 1, Count: 4}, Parallel: 4})
 	if err == nil || !strings.Contains(err.Error(), "seed 3") {
 		t.Fatalf("error not propagated with seed: %v", err)
+	}
+}
+
+// TestRunIsolatesPanic: a seed whose run panics becomes that seed's error,
+// carrying the panic value and stack, and the campaign returns instead of
+// crashing the process.
+func TestRunIsolatesPanic(t *testing.T) {
+	boom := Experiment{ID: "boom", Run: func(_ context.Context, p Params) (Outcome, error) {
+		if p.Seed == 3 {
+			panic("seed 3 exploded")
+		}
+		return Outcome{Metrics: map[string]float64{"x": 1}}, nil
+	}}
+	_, err := Run(context.Background(), boom, Options{Seeds: SeedRange{Base: 1, Count: 4}, Parallel: 2})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if !strings.Contains(err.Error(), "seed 3: panic: seed 3 exploded") {
+		t.Fatalf("error does not name the seed and panic: %v", err)
+	}
+	if !strings.Contains(string(pe.Stack), "TestRunIsolatesPanic") {
+		t.Fatalf("stack does not reach the panicking function:\n%s", pe.Stack)
 	}
 }
 

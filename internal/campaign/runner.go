@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,9 +99,29 @@ type Result struct {
 	Outcomes []Outcome `json:"-"`
 }
 
+// PanicError is a seed's error when its experiment panicked: one failing
+// run fails its campaign instead of crashing the process.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// runSeed runs one seed, returning a panic in exp.Run as a *PanicError.
+func runSeed(ctx context.Context, exp Experiment, p Params) (out Outcome, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return exp.Run(ctx, p)
+}
+
 // Run fans exp out over the seed range with a bounded worker pool and
 // aggregates the per-seed metrics. The per-seed result order is the seed
-// order regardless of scheduling, so output is independent of Parallel.
+// order regardless of scheduling, so output is independent of Parallel. A
+// seed whose run panics fails the campaign with a *PanicError.
 //
 // The context cancels the campaign: workers stop claiming seeds once it
 // fires, in-flight runs receive it through exp.Run (simulation-backed
@@ -173,7 +194,7 @@ func Run(ctx context.Context, exp Experiment, opts Options) (*Result, error) {
 				}
 				p := params
 				p.Seed = seeds[i]
-				out, err := exp.Run(ctx, p)
+				out, err := runSeed(ctx, exp, p)
 				slots[i] = slot{out: out, err: err}
 			}
 		}()

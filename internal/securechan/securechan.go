@@ -288,7 +288,7 @@ func (c *Channel) finishAsInitiator(msg []byte) ([]byte, error) {
 		c.st = stateFailed
 		return nil, fmt.Errorf("%w: marshal finished: %v", ErrHandshake, err)
 	}
-	c.st = stateEstablished
+	c.establish()
 	return fin, nil
 }
 
@@ -303,8 +303,19 @@ func (c *Channel) verifyFinished(msg []byte) error {
 		c.st = stateFailed
 		return fmt.Errorf("%w: client finished signature", ErrPeerAuth)
 	}
-	c.st = stateEstablished
+	c.establish()
 	return nil
+}
+
+// establish completes the handshake and drops what only the handshake
+// needed: the ephemeral private key (held any longer, it would let a later
+// compromise of this endpoint recover the traffic keys, defeating forward
+// secrecy), the transcript, and the randomness source.
+func (c *Channel) establish() {
+	c.st = stateEstablished
+	c.ephPriv = nil
+	c.transcript = nil
+	c.opts.Rand = nil
 }
 
 func (c *Channel) parseHello(msg []byte) (helloMsg, pki.Certificate, error) {

@@ -106,6 +106,31 @@ func TestPeerCertExposed(t *testing.T) {
 	}
 }
 
+// TestEstablishedDropsHandshakeSecrets: once established, neither endpoint
+// holds its ephemeral private key, the handshake transcript or the
+// randomness source — and the channel still carries traffic both ways.
+func TestEstablishedDropsHandshakeSecrets(t *testing.T) {
+	p := handshakePair(t, Options{})
+	for _, c := range []struct {
+		name string
+		ch   *Channel
+	}{{"initiator", p.init}, {"responder", p.resp}} {
+		if c.ch.ephPriv != nil || c.ch.transcript != nil || c.ch.opts.Rand != nil {
+			t.Errorf("%s kept handshake state: ephPriv=%v transcript=%d bytes rand=%v",
+				c.name, c.ch.ephPriv != nil, len(c.ch.transcript), c.ch.opts.Rand != nil)
+		}
+	}
+	for _, dir := range [][2]*Channel{{p.init, p.resp}, {p.resp, p.init}} {
+		rec, err := dir[0].Seal([]byte("after the handshake"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := dir[1].Open(rec); err != nil || string(got) != "after the handshake" {
+			t.Fatalf("Open = %q, %v", got, err)
+		}
+	}
+}
+
 func TestReplayRejected(t *testing.T) {
 	p := handshakePair(t, Options{})
 	rec, err := p.init.Seal([]byte("cmd"))

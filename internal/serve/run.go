@@ -206,11 +206,21 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	j := s.startRun(sess, spec.Name, profile, seed, horizon)
+	s.log.Info("run submitted", "runID", j.id,
+		"scenario", spec.Name, "profile", profile, "seed", seed, "horizon", horizon.String())
+	w.Header().Set(headerJobID, j.id)
+	writeJSON(w, http.StatusAccepted, j.status(false))
+}
+
+// startRun registers a job for a commissioned session, holding a reserved
+// job slot, and runs it on its own goroutine.
+func (s *Server) startRun(sess *worksite.Session, scenarioName, profile string, seed int64, horizon time.Duration) *runJob {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := s.runs.add(func(id string) *runJob {
 		return &runJob{
 			id:       id,
-			scenario: spec.Name,
+			scenario: scenarioName,
 			profile:  profile,
 			seed:     seed,
 			horizon:  horizon,
@@ -232,18 +242,16 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 	s.jobs.Add(1)
 	go s.executeRun(ctx, j, sess)
-
-	s.log.Info("run submitted", "runID", j.id,
-		"scenario", spec.Name, "profile", profile, "seed", seed, "horizon", horizon.String())
-	w.Header().Set(headerJobID, j.id)
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	return j
 }
 
-// executeRun drives one run to completion on its own goroutine.
+// executeRun drives one run to completion on its own goroutine. A panic in
+// the run (an observer included) fails this job only.
 func (s *Server) executeRun(ctx context.Context, j *runJob, sess *worksite.Session) {
 	defer s.jobs.Add(-1)
 	defer s.releaseJobSlot()
 	defer j.log.close()
+	defer s.recoverJob("run", j.id, func(msg string) { j.finish(StateFailed, nil, msg) })
 	j.setState(StateRunning)
 	err := sess.RunFor(ctx, j.horizon)
 	switch {

@@ -30,9 +30,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
@@ -290,6 +292,19 @@ func (s *Server) acquireJobSlot() *apiError {
 
 // releaseJobSlot returns a reserved slot once the job goroutine ends.
 func (s *Server) releaseJobSlot() { s.active.Add(-1) }
+
+// recoverJob turns a panic on a job goroutine into that job's failure: fail
+// records it, and the stack goes to the log. Defer it last, so it runs
+// before the job's event log closes and its slot is released: the job is
+// terminal by the time anyone can observe that it ended.
+func (s *Server) recoverJob(kind, id string, fail func(msg string)) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	fail(fmt.Sprintf("panic: %v", v))
+	s.log.Error(kind+" panicked", kind+"ID", id, "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+}
 
 // jobGroup is a WaitGroup the drain path can Wait on repeatedly.
 type jobGroup struct{ wg atomic.Int64 }

@@ -1,14 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/worksite"
 )
 
 // TestEventLogSequencesAndReplay: appends are 1-based dense sequences; a
@@ -258,5 +267,90 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatal("server kept a partial-header connection open for 5s; want it closed after readHeaderTimeout")
+	}
+}
+
+// lockedBuffer is a log sink safe to read while job goroutines write to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunPanicFailsOnlyThatJob: a run whose observer panics is marked
+// failed with the panic as its error and its stack in the log, its event
+// feed closes and its slot is released, while a run submitted beside it
+// completes normally.
+func TestRunPanicFailsOnlyThatJob(t *testing.T) {
+	var logs lockedBuffer
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+
+	spec, err := scenario.Get("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if apiErr := s.acquireJobSlot(); apiErr != nil {
+		t.Fatal(apiErr.Message)
+	}
+	sess, _, err := scenario.Build(spec, 1, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Subscribe(&worksite.ObserverFuncs{Tick: func(tk worksite.TickSnapshot) {
+		if tk.N == 10 {
+			panic("observer exploded")
+		}
+	}})
+	bad := s.startRun(sess, spec.Name, "unsecured", 1, time.Minute)
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs",
+		strings.NewReader(`{"scenario":"baseline","horizonNs":60000000000}`)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	var submitted runStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &submitted); err != nil {
+		t.Fatal(err)
+	}
+	good, ok := s.runs.get(submitted.ID)
+	if !ok {
+		t.Fatalf("submitted run %q not registered", submitted.ID)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for s.ActiveJobs() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs still active: bad %s, good %s", bad.status(false).State, good.status(false).State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.jobs.Wait()
+
+	if st := bad.status(false); st.State != StateFailed || st.Error != "panic: observer exploded" {
+		t.Fatalf("panicking run: state %s, error %q; want failed with the panic", st.State, st.Error)
+	}
+	if _, _, closed, _ := bad.log.since(0); !closed {
+		t.Fatal("panicking run left its event feed open")
+	}
+	if st := good.status(true); st.State != StateDone || len(st.Report) == 0 {
+		t.Fatalf("neighbouring run: state %s, error %q; want done with a report", st.State, st.Error)
+	}
+	out := logs.String()
+	for _, want := range []string{"run panicked", "observer exploded", "executeRun"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log lacks %q:\n%s", want, out)
+		}
 	}
 }

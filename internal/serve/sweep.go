@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -212,10 +213,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// executeSweep drives one sweep to completion on its own goroutine.
+// executeSweep drives one sweep to completion on its own goroutine. A panic
+// fails this job only: the campaign pool returns a panicking seed as a
+// *campaign.PanicError, and anything else is recovered here.
 func (s *Server) executeSweep(ctx context.Context, j *sweepJob, opts campaign.SweepOptions) {
 	defer s.jobs.Add(-1)
 	defer s.releaseJobSlot()
+	defer s.recoverJob("sweep", j.id, func(msg string) { j.finish(StateFailed, nil, msg) })
 	j.setState(StateRunning)
 	res, err := campaign.Sweep(ctx, opts)
 	switch {
@@ -230,6 +234,10 @@ func (s *Server) executeSweep(ctx context.Context, j *sweepJob, opts campaign.Sw
 		j.finish(StateCancelled, nil, "")
 	default:
 		j.finish(StateFailed, nil, err.Error())
+		var pe *campaign.PanicError
+		if errors.As(err, &pe) {
+			s.log.Error("sweep panicked", "sweepID", j.id, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+		}
 	}
 	st := j.status(false)
 	s.log.Info("sweep finished", "sweepID", j.id, "state", string(st.State),

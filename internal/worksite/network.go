@@ -49,6 +49,35 @@ const (
 	CommandClearStops = "clear-stops"
 )
 
+// link is one directed application link, from -> to, holding what both ends
+// of a message need: the sender's adapter and secure-channel endpoint, the
+// receiver's endpoint, and the ring of messages recently sent on it. send
+// finds a link by {from, to}; each node's receive handler holds the links
+// that end at it, so neither direction adds a map lookup.
+type link struct {
+	from, to radio.NodeID
+	ad       *netsim.Adapter     // from's adapter
+	seal     *securechan.Channel // from's endpoint; nil on the unsecured profile
+	open     *securechan.Channel // to's endpoint; nil on the unsecured profile
+	sent     sentRing
+}
+
+// linkPairs lists the node pairs that talk, initiator first: each pair gets
+// a secure channel on the secured profile and a link in each direction.
+func linkPairs(droneEnabled bool) [][2]radio.NodeID {
+	pairs := [][2]radio.NodeID{
+		{NodeCoordinator, NodeForwarder},
+		{NodeCoordinator, NodeHarvester},
+	}
+	if droneEnabled {
+		pairs = append(pairs,
+			[2]radio.NodeID{NodeCoordinator, NodeDrone},
+			[2]radio.NodeID{NodeForwarder, NodeDrone},
+		)
+	}
+	return pairs
+}
+
 func (s *Site) commissionNetwork(sh *SharedSecurity) error {
 	type radioSpec struct {
 		id  radio.NodeID
@@ -84,6 +113,17 @@ func (s *Site) commissionNetwork(sh *SharedSecurity) error {
 		s.adapters[sp.id] = ad
 	}
 
+	pairs := linkPairs(s.cfg.DroneEnabled)
+	s.links = make(map[chanKey]*link, 2*len(pairs))
+	inbound := make(map[radio.NodeID][]*link, len(specs))
+	for _, p := range pairs {
+		for _, l := range []*link{{from: p[0], to: p[1]}, {from: p[1], to: p[0]}} {
+			l.ad = s.adapters[l.from]
+			s.links[chanKey{l.from, l.to}] = l
+			inbound[l.to] = append(inbound[l.to], l)
+		}
+	}
+
 	s.linkNames = make(map[chanKey]string, len(specs)*(len(specs)-1)/2)
 	for _, a := range specs {
 		for _, b := range specs {
@@ -101,7 +141,7 @@ func (s *Site) commissionNetwork(sh *SharedSecurity) error {
 			return err
 		}
 	}
-	s.wireMessageHandlers()
+	s.wireMessageHandlers(inbound)
 	return s.associateLinks()
 }
 
@@ -114,7 +154,8 @@ func (s *Site) staticPos(p geo.Vec) func() geo.Vec {
 // at commissioning, mirroring real fleet onboarding; subsequent records
 // travel over the air. The expensive half — keygen, issuance, handshakes —
 // happened once in CommissionSecurity, so this session only forks the
-// established channels.
+// established channels. A fork of endpoint {local, peer} seals on the link
+// local -> peer and opens on the link peer -> local.
 func (s *Site) commissionPKI(b *securityBundle) error {
 	s.ca = b.ca
 	// Sorted keys: should two forks ever fail, the reported error must not
@@ -134,7 +175,8 @@ func (s *Site) commissionPKI(b *securityBundle) error {
 		if err != nil {
 			return fmt.Errorf("worksite: fork channel %s->%s: %w", k.local, k.peer, err)
 		}
-		s.channels[k] = fork
+		s.links[k].seal = fork
+		s.links[chanKey{k.peer, k.local}].open = fork
 	}
 	return nil
 }
@@ -178,16 +220,7 @@ func buildSecurity(droneEnabled bool, r *rng.Rand) (*securityBundle, error) {
 	}
 
 	verifier := pki.NewVerifier(ca.Cert(), ca.CRL())
-	pairs := [][2]radio.NodeID{
-		{NodeCoordinator, NodeForwarder},
-		{NodeCoordinator, NodeHarvester},
-	}
-	if droneEnabled {
-		pairs = append(pairs,
-			[2]radio.NodeID{NodeCoordinator, NodeDrone},
-			[2]radio.NodeID{NodeForwarder, NodeDrone},
-		)
-	}
+	pairs := linkPairs(droneEnabled)
 	b := &securityBundle{ca: ca, channels: make(map[chanKey]*securechan.Channel, 2*len(pairs))}
 	hr := r.Derive("handshakes")
 	for _, p := range pairs {
@@ -320,14 +353,23 @@ func (s *Site) linkName(a, b radio.NodeID) string {
 	return string(a) + "<->" + string(b)
 }
 
-func (s *Site) wireMessageHandlers() {
+// wireMessageHandlers installs each worksite node's adapter callbacks;
+// inbound holds, per node, the links that end at it.
+func (s *Site) wireMessageHandlers(inbound map[radio.NodeID][]*link) {
 	for id, ad := range s.adapters {
 		if id == NodeAttacker {
 			continue
 		}
-		id, ad := id, ad
+		id, ad, in := id, ad, inbound[id]
 		ad.OnMessage = func(from radio.NodeID, payload []byte) {
-			s.handleAppPayload(id, from, payload)
+			var l *link // nil: no link runs from the claimed source to id
+			for _, c := range in {
+				if c.from == from {
+					l = c
+					break
+				}
+			}
+			s.handleAppPayload(l, id, from, payload)
 		}
 		ad.OnMgmtReject = func(f netsim.Frame) {
 			s.ingestIDS(ids.Event{
@@ -355,72 +397,66 @@ func (s *Site) ingestIDS(ev ids.Event) {
 	}
 }
 
+// associateLinks has the responder of each pair associate to its
+// initiator.
 func (s *Site) associateLinks() error {
-	pairs := [][2]radio.NodeID{
-		{NodeForwarder, NodeCoordinator},
-		{NodeHarvester, NodeCoordinator},
-	}
-	if s.cfg.DroneEnabled {
-		pairs = append(pairs,
-			[2]radio.NodeID{NodeDrone, NodeCoordinator},
-			[2]radio.NodeID{NodeDrone, NodeForwarder},
-		)
-	}
-	for _, p := range pairs {
-		if err := s.adapters[p[0]].Associate(p[1]); err != nil {
-			return fmt.Errorf("worksite: associate %s->%s: %w", p[0], p[1], err)
+	for _, p := range linkPairs(s.cfg.DroneEnabled) {
+		if err := s.adapters[p[1]].Associate(p[0]); err != nil {
+			return fmt.Errorf("worksite: associate %s->%s: %w", p[1], p[0], err)
 		}
 	}
 	// Let association frames fly before the mission starts.
 	return s.sched.Run(50 * time.Millisecond)
 }
 
-// send transmits an application message from -> to, sealing it when the
-// secured profile is active. Send errors are expected under attack (link
-// torn down) and are absorbed as lost traffic. A message json.Marshal would
-// reject (a NaN or infinite float) is dropped unsent.
+// send transmits an application message from -> to over their link,
+// sealing it when the secured profile is active. Send errors are expected
+// under attack (link torn down) and are absorbed as lost traffic. A message
+// json.Marshal would reject (a NaN or infinite float) is dropped unsent.
 //
 // appendWireMsg encodes into the site's reused buffer, and the adapter
 // copies the payload into its own frame storage before Transmit returns, so
-// the buffer is free for the next message immediately.
+// the buffer is free for the next message immediately. The link's sent ring
+// keeps its own copy of the bytes with a snapshot of msg, so the receiver
+// can skip parsing them back (see handleAppPayload).
 func (s *Site) send(from, to radio.NodeID, msg wireMsg) {
+	l := s.links[chanKey{from, to}]
+	if l == nil {
+		return
+	}
 	payload, ok := appendWireMsg(s.wireBuf[:0], &msg)
 	s.wireBuf = payload
 	if !ok {
 		return
 	}
+	l.sent.record(payload, &msg)
 	if s.cfg.Profile.SecureChannels {
-		ch := s.channels[chanKey{from, to}]
-		if ch == nil {
+		if l.seal == nil {
 			return
 		}
-		sealed, err := ch.Seal(payload)
+		sealed, err := l.seal.Seal(payload)
 		if err != nil {
 			return
 		}
 		payload = sealed
 	}
-	ad := s.adapters[from]
-	if ad == nil {
-		return
-	}
-	if err := ad.SendData(to, payload); err != nil {
+	if err := l.ad.SendData(to, payload); err != nil {
 		// Link torn down (e.g. by de-auth): attempt re-association so the
 		// system can self-heal once the attack stops.
-		_ = ad.Associate(to)
+		_ = l.ad.Associate(to)
 		s.metrics.SendFailures++
 	}
 }
 
 // handleAppPayload authenticates (when secured) and dispatches an inbound
-// application message at the receiving node.
-func (s *Site) handleAppPayload(local, from radio.NodeID, payload []byte) {
+// application message at the receiving node. l is the link from the
+// frame's claimed source to local, nil when there is none.
+func (s *Site) handleAppPayload(l *link, local, from radio.NodeID, payload []byte) {
 	if s.cfg.Profile.SecureChannels {
-		ch := s.channels[chanKey{local, from}]
-		if ch == nil {
+		if l == nil || l.open == nil {
 			return
 		}
-		plain, err := ch.Open(payload)
+		plain, err := l.open.Open(payload)
 		if err != nil {
 			kind := ids.EventDecryptFailure
 			if errors.Is(err, securechan.ErrReplay) {
@@ -439,6 +475,18 @@ func (s *Site) handleAppPayload(local, from radio.NodeID, payload []byte) {
 		}
 		payload = plain
 	}
+	// Decode once: a plaintext byte-equal to a message this site just sent
+	// on the link dispatches that message's snapshot, which is exactly what
+	// parsing the bytes would yield. Every other payload — replayed past
+	// the ring, tampered, injected or attack-built — is parsed below.
+	if l != nil {
+		if m := l.sent.lookup(payload); m != nil {
+			s.wireHits++
+			s.dispatch(local, from, *m)
+			return
+		}
+	}
+	s.wireParses++
 	// Parse into the reused receive scratch: the fast path covers everything
 	// appendWireMsg emits for the simulator's own messages; anything else
 	// (hostile or malformed input) falls back to encoding/json for the

@@ -1,6 +1,7 @@
 package worksite
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -15,7 +16,8 @@ import (
 // Every application message on the worksite network is a JSON-encoded
 // wireMsg; the drone streams one detections message per control tick, so
 // both directions are squarely on the simulation's hot path. This file
-// holds both halves of one closed grammar:
+// holds both halves of one closed grammar, and the shortcut that lets most
+// messages skip the second half:
 //
 //   - appendWireMsg encodes a message into a caller-owned buffer, producing
 //     exactly json.Marshal's bytes (field order, omitempty, float format,
@@ -33,6 +35,15 @@ import (
 //     accept inputs the stdlib would accept, with identical results, and
 //     every divergent or hostile input is judged by the stdlib itself.
 //     TestWireCodecDifferential locks that equivalence.
+//   - sentRing remembers, per link, the last few messages sent: the encoded
+//     bytes and a snapshot normalised to exactly what json.Unmarshal makes
+//     of them. Sender and receiver share one Site, so a delivered plaintext
+//     byte-equal to a remembered encoding is dispatched from the snapshot
+//     without parsing. The bytes still cross the radio and the secure
+//     channel; only bytes nobody altered skip the parse, and anything else
+//     — a replay older than the ring, a tampered or injected frame —
+//     reaches the parser. FuzzWireCodec and TestSentRingSnapshotIsUnmarshal
+//     lock snapshot(m) == json.Unmarshal(appendWireMsg(m)).
 
 // appendWireMsg appends the JSON encoding of msg to b and returns the
 // extended buffer. The bytes are exactly json.Marshal(msg)'s. ok is false
@@ -186,6 +197,80 @@ func appendWireString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// sentRingSize is how many recent messages a link remembers. A link
+// carries at most one message per control tick and delivers it within
+// milliseconds, so the newest slot almost always matches; the older slots
+// cover a frame still in flight when the next one is sent.
+const sentRingSize = 4
+
+// sentRing is a link's memory of its recently sent messages. Once every
+// slot's buffers have reached their high water it allocates nothing.
+type sentRing struct {
+	slots [sentRingSize]sentSlot
+	next  int // slot the next record overwrites
+}
+
+type sentSlot struct {
+	wire []byte              // the encoded plaintext; empty while unused
+	msg  wireMsg             // json.Unmarshal(wire), built without parsing
+	dets []sensors.Detection // backing storage of msg.Detections
+}
+
+// record remembers msg, just encoded as wire by appendWireMsg. The snapshot
+// is normalised to what json.Unmarshal returns for wire: omitempty drops a
+// -0 PosX/PosY, which then decodes as +0, and an empty detection list,
+// which then decodes as nil. A message carrying invalid UTF-8 is not
+// recorded at all: the stdlib would replace each bad byte with U+FFFD, and
+// such a message is left to the parser rather than mirrored here.
+func (r *sentRing) record(wire []byte, msg *wireMsg) {
+	if !msg.validUTF8() {
+		return
+	}
+	sl := &r.slots[r.next]
+	r.next = (r.next + 1) % sentRingSize
+	sl.wire = append(sl.wire[:0], wire...)
+	sl.dets = append(sl.dets[:0], msg.Detections...)
+	sl.msg = *msg
+	sl.msg.Detections = nil
+	if len(sl.dets) > 0 {
+		sl.msg.Detections = sl.dets
+	}
+	if msg.PosX == 0 {
+		sl.msg.PosX = 0
+	}
+	if msg.PosY == 0 {
+		sl.msg.PosY = 0
+	}
+}
+
+// lookup returns the snapshot of the remembered message whose encoding is
+// exactly plain, newest first, or nil. The snapshot is valid until the slot
+// is recorded over.
+func (r *sentRing) lookup(plain []byte) *wireMsg {
+	for i := 1; i <= sentRingSize; i++ {
+		sl := &r.slots[(r.next-i+sentRingSize)%sentRingSize]
+		if len(sl.wire) > 0 && bytes.Equal(sl.wire, plain) {
+			return &sl.msg
+		}
+	}
+	return nil
+}
+
+// validUTF8 reports whether every string in m is valid UTF-8, so that
+// json.Unmarshal of its encoding returns each string unchanged.
+func (m *wireMsg) validUTF8() bool {
+	if !utf8.ValidString(m.Type) || !utf8.ValidString(m.From) || !utf8.ValidString(m.State) ||
+		!utf8.ValidString(m.GNSSWhy) || !utf8.ValidString(m.Command) {
+		return false
+	}
+	for i := range m.Detections {
+		if !utf8.ValidString(m.Detections[i].TargetID) || !utf8.ValidString(m.Detections[i].Sensor) {
+			return false
+		}
+	}
+	return true
 }
 
 // internTable deduplicates the small closed set of strings that ride the

@@ -2,6 +2,7 @@ package worksite
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -28,16 +29,74 @@ func checkAgainstStdlib(t *testing.T, payload []byte) {
 	if err != nil {
 		t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", err, payload)
 	}
-	// nil-vs-empty detections is the one representational difference the
-	// scratch reuse introduces; the consumers only look at len.
-	if len(fast.Detections) == 0 {
-		fast.Detections = nil
-	}
-	if len(std.Detections) == 0 {
-		std.Detections = nil
-	}
-	if !reflect.DeepEqual(fast, std) {
+	if !sameParse(fast, std) {
 		t.Fatalf("fast path diverges from stdlib on %q:\nfast: %+v\nstd:  %+v", payload, fast, std)
+	}
+}
+
+// sameParse compares a fast-path parse with the stdlib's decode of the same
+// bytes. nil-vs-empty detections is the one representational difference
+// the scratch reuse introduces (the consumers only look at len), so an
+// empty list on both sides matches; everything else must be identical.
+func sameParse(fast, std wireMsg) bool {
+	if len(fast.Detections) == 0 && len(std.Detections) == 0 {
+		fast.Detections, std.Detections = nil, nil
+	}
+	return identical(fast, std)
+}
+
+// identical reports whether a and b are the same bit for bit. Unlike
+// reflect.DeepEqual it tells -0 from +0 (floats compare by their IEEE
+// bits) and a nil slice from an empty one.
+func identical(a, b any) bool {
+	return identicalValue(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+func identicalValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !identicalValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !identicalValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.String, reflect.Bool, reflect.Uint64:
+		return a.Interface() == b.Interface()
+	default:
+		panic(fmt.Sprintf("identical: unhandled kind %s", a.Kind()))
+	}
+}
+
+// TestIdenticalTellsSignedZeroAndNil pins the comparator itself: each pair
+// differs only by a zero's sign or a nil-vs-empty list, and reflect.DeepEqual
+// reports the two signed-zero pairs equal.
+func TestIdenticalTellsSignedZeroAndNil(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pairs := [][2]wireMsg{
+		{{PosX: negZero}, {}},
+		{{Detections: []sensors.Detection{{Pos: geo.V(negZero, 0)}}}, {Detections: []sensors.Detection{{}}}},
+		{{Detections: []sensors.Detection{}}, {}},
+	}
+	for i, p := range pairs {
+		if identical(p[0], p[1]) {
+			t.Errorf("pair %d: identical reports %+v equal to %+v", i, p[0], p[1])
+		}
+		if !identical(p[0], p[0]) {
+			t.Errorf("pair %d: identical reports %+v unequal to itself", i, p[0])
+		}
 	}
 }
 
@@ -161,6 +220,8 @@ func FuzzWireCodec(f *testing.F) {
 		`{"type":"command","from":"attacker","command":"clear-stops","seq":7}`,
 		`{"posX":1e308,"posY":-1e-308}`,
 		`{"type":"<&>\u2028\"\\\n","from":"\u0001\u007f","state":"caf\u00e9"}`,
+		`{"type":"status","posX":-0,"posY":-0}`,                                        // -0 that re-encoding omits
+		`{"type":"detections","detections":[{"pos":{"x":-0,"y":-0},"confidence":-0}]}`, // -0 it keeps
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -170,7 +231,20 @@ func FuzzWireCodec(f *testing.F) {
 		stdErr := json.Unmarshal(data, &std)
 		if stdErr == nil {
 			checkEncodeAgainstStdlib(t, &std)
+			checkSnapshotAgainstStdlib(t, &std)
 		}
+		// The raw bytes as one string field, picked by the first byte:
+		// strings json.Unmarshal never produces (invalid UTF-8, any control
+		// byte) reach the encoder and the sent ring too.
+		if len(data) > 0 {
+			rawMsg := wireMsg{Type: "detections", Detections: []sensors.Detection{{}}}
+			fields := []*string{&rawMsg.Type, &rawMsg.From, &rawMsg.State, &rawMsg.GNSSWhy,
+				&rawMsg.Command, &rawMsg.Detections[0].TargetID, &rawMsg.Detections[0].Sensor}
+			*fields[int(data[0])%len(fields)] = string(data[1:])
+			checkEncodeAgainstStdlib(t, &rawMsg)
+			checkSnapshotAgainstStdlib(t, &rawMsg)
+		}
+
 		intern := make(internTable)
 		var fast wireMsg
 		if !fastParseWireMsg(data, &fast, intern) {
@@ -179,13 +253,7 @@ func FuzzWireCodec(f *testing.F) {
 		if stdErr != nil {
 			t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", stdErr, data)
 		}
-		if len(fast.Detections) == 0 {
-			fast.Detections = nil
-		}
-		if len(std.Detections) == 0 {
-			std.Detections = nil
-		}
-		if !reflect.DeepEqual(fast, std) {
+		if !sameParse(fast, std) {
 			t.Fatalf("divergence on %q:\nfast: %+v\nstd:  %+v", data, fast, std)
 		}
 	})
@@ -214,12 +282,96 @@ func checkEncodeAgainstStdlib(t *testing.T, msg *wireMsg) {
 	}
 }
 
+// checkSnapshotAgainstStdlib asserts the sent ring's contract for one
+// message: once recorded, its encoding looks up a snapshot bit-identical to
+// json.Unmarshal of those bytes. Only a message the encoder rejects, or one
+// carrying invalid UTF-8, goes unrecorded. Every slot has carried
+// detections before, as on a running site, so reused buffers are in play.
+func checkSnapshotAgainstStdlib(t *testing.T, msg *wireMsg) {
+	t.Helper()
+	wire, ok := appendWireMsg(nil, msg)
+	if !ok {
+		return
+	}
+	var r sentRing
+	prior := benchWireMsg()
+	priorWire, _ := appendWireMsg(nil, &prior)
+	for i := 0; i < sentRingSize; i++ {
+		r.record(priorWire, &prior)
+	}
+	r.record(wire, msg)
+	snap := r.lookup(wire)
+	if snap == nil {
+		if msg.validUTF8() {
+			t.Fatalf("valid message not recorded: %+v", *msg)
+		}
+		return
+	}
+	if !msg.validUTF8() {
+		t.Fatalf("message with invalid UTF-8 recorded: %+v", *msg)
+	}
+	var want wireMsg
+	if err := json.Unmarshal(wire, &want); err != nil {
+		t.Fatalf("json.Unmarshal rejects the encoder's own bytes %q: %v", wire, err)
+	}
+	if !identical(*snap, want) {
+		t.Fatalf("snapshot diverges from json.Unmarshal of %q:\nsnap: %+v\nstd:  %+v", wire, *snap, want)
+	}
+}
+
+// TestSentRingSnapshotIsUnmarshal checks the snapshot contract over every
+// encoder case — signed zeros kept and omitted, empty detection lists,
+// escapes, non-ASCII and invalid UTF-8 — and the ring's lookup rules.
+func TestSentRingSnapshotIsUnmarshal(t *testing.T) {
+	cases := encoderCases()
+	for i := range cases {
+		checkSnapshotAgainstStdlib(t, &cases[i])
+	}
+
+	// The ring remembers the last sentRingSize messages, newest first, and
+	// never matches an unused slot.
+	var r sentRing
+	if r.lookup(nil) != nil || r.lookup([]byte{}) != nil {
+		t.Fatal("an empty ring matched an empty payload")
+	}
+	wires := make([][]byte, sentRingSize+1)
+	for i := range wires {
+		m := wireMsg{Type: "status", From: string(NodeForwarder), Seq: uint64(i + 1)}
+		wires[i], _ = appendWireMsg(nil, &m)
+		r.record(wires[i], &m)
+	}
+	if r.lookup(wires[0]) != nil {
+		t.Fatal("the oldest message outlived its slot")
+	}
+	for i, w := range wires[1:] {
+		if m := r.lookup(w); m == nil || m.Seq != uint64(i+2) {
+			t.Fatalf("message %d: lookup = %+v", i+2, m)
+		}
+	}
+	// A message with invalid UTF-8 leaves the ring as it was.
+	bad := wireMsg{Type: "status", From: "\xff"}
+	badWire, _ := appendWireMsg(nil, &bad)
+	r.record(badWire, &bad)
+	if r.lookup(badWire) != nil || r.lookup(wires[1]) == nil {
+		t.Fatal("recording an invalid-UTF-8 message changed the ring")
+	}
+}
+
 // TestAppendWireMsgMatchesMarshal covers what the fuzzer cannot reach
 // through json.Unmarshal: strings the stdlib would never decode to (invalid
 // UTF-8, raw control bytes), HTML and JavaScript escapes, float formatting
 // edges, every omitempty combination, and the non-finite floats that must
 // fail the encode.
 func TestAppendWireMsgMatchesMarshal(t *testing.T) {
+	msgs := encoderCases()
+	for i := range msgs {
+		checkEncodeAgainstStdlib(t, &msgs[i])
+	}
+}
+
+// encoderCases is the encoder's edge table, shared by the encoder and
+// snapshot tests.
+func encoderCases() []wireMsg {
 	det := sensors.Detection{TargetID: "worker-1", Pos: geo.V(200.5, -3), Confidence: 0.92, Sensor: "aerial-camera"}
 	var msgs []wireMsg
 
@@ -288,10 +440,7 @@ func TestAppendWireMsgMatchesMarshal(t *testing.T) {
 			wireMsg{Type: "detections", Detections: []sensors.Detection{{Pos: geo.V(f, 0)}}},
 			wireMsg{Type: "detections", Detections: []sensors.Detection{{Pos: geo.V(0, f)}}})
 	}
-
-	for i := range msgs {
-		checkEncodeAgainstStdlib(t, &msgs[i])
-	}
+	return msgs
 }
 
 // TestSendDropsUnencodableMessage locks the send path's failure mode: a
@@ -379,7 +528,8 @@ func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 
 	full := []byte(`{"type":"detections","from":"drone-1","detections":` +
 		`[{"targetId":"worker-1","pos":{"x":1,"y":2},"confidence":0.92,"sensor":"aerial-camera","falsePositive":true}]}`)
-	site.handleAppPayload(NodeForwarder, NodeDrone, full)
+	l := site.links[chanKey{NodeDrone, NodeForwarder}]
+	site.handleAppPayload(l, NodeForwarder, NodeDrone, full)
 	if len(site.droneDets) != 1 || site.droneDets[0].Confidence != 0.92 {
 		t.Fatalf("fast-path decode wrong: %+v", site.droneDets)
 	}
@@ -387,7 +537,7 @@ func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 	// The \u0041 escape forces the stdlib fallback; every omitted field must
 	// be zero.
 	sparse := []byte(`{"type":"detections","from":"drone-1","detections":[{"targetId":"x\u0041"}]}`)
-	site.handleAppPayload(NodeForwarder, NodeDrone, sparse)
+	site.handleAppPayload(l, NodeForwarder, NodeDrone, sparse)
 	got := site.droneDets
 	if len(got) != 1 || got[0].TargetID != "xA" {
 		t.Fatalf("fallback decode wrong: %+v", got)

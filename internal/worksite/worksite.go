@@ -24,7 +24,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/risk"
 	"repro/internal/rng"
-	"repro/internal/securechan"
 	"repro/internal/sensors"
 	"repro/internal/simclock"
 )
@@ -205,7 +204,7 @@ type Site struct {
 	phaseLeft time.Duration
 
 	adapters map[radio.NodeID]*netsim.Adapter
-	channels map[chanKey]*securechan.Channel
+	links    map[chanKey]*link // application links, keyed {from, to}
 	engine   *ids.Engine
 	ca       *pki.CA
 	assessor *risk.ContinuousAssessor
@@ -253,6 +252,11 @@ type Site struct {
 	recvMsg          wireMsg
 	intern           internTable
 
+	// Receive-side decode split: payloads dispatched from a link's sent
+	// ring versus payloads handed to the parser. Test-only observability;
+	// not part of Report.
+	wireHits, wireParses int
+
 	// observers receive the typed event stream; the built-in metrics and
 	// timeline observers subscribe first at commissioning.
 	observers   []Observer
@@ -260,6 +264,8 @@ type Site struct {
 	firstTickAt time.Duration // virtual time of control tick #1 (commissioning + one period)
 }
 
+// chanKey names an ordered node pair: a channel endpoint {local, peer} in a
+// security bundle, or a link {from, to} in Site.links.
 type chanKey struct {
 	local, peer radio.NodeID
 }
@@ -330,7 +336,6 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		sched:    simclock.New(),
 		grid:     grid,
 		adapters: make(map[radio.NodeID]*netsim.Adapter),
-		channels: make(map[chanKey]*securechan.Channel),
 		mission:  phaseToHarvest,
 		intern:   make(internTable),
 	}
