@@ -91,17 +91,26 @@ func TestCampaignOpenEndedWindow(t *testing.T) {
 func TestJammingToggle(t *testing.T) {
 	r := newRig(t)
 	j := NewJamming(r.medium, "j1", geo.V(50, 50), 1, 30, false)
+	r.adapter(t, "a", geo.V(40, 50))
+	r.adapter(t, "b", geo.V(60, 50))
+	var sinr float64
+	r.medium.Observer = func(_ radio.Packet, _ radio.NodeID, s float64, _ radio.DropCause) { sinr = s }
+	// sinrAB sends one probe a→b and returns the SINR the medium computed;
+	// the delivery is never run, so the adapter never sees the probe.
+	sinrAB := func() float64 {
+		t.Helper()
+		if err := r.medium.Transmit(radio.Packet{From: "a", To: "b", Size: 10}); err != nil {
+			t.Fatalf("Transmit: %v", err)
+		}
+		return sinr
+	}
 	j.Begin(r.sched)
-	received := 0
-	a := r.adapter(t, "a", geo.V(40, 50))
-	b := r.adapter(t, "b", geo.V(60, 50))
-	b.OnMessage = func(radio.NodeID, []byte) { received++ }
-	_ = a
+	jammed := sinrAB()
 	j.End(r.sched)
 	// After End the jammer must be inactive: SINR between nodes is healthy.
-	sinr, ok := r.medium.SINRBetween("a", "b")
-	if !ok || sinr < 0 {
-		t.Fatalf("post-attack SINR = %.1f/%v, want healthy", sinr, ok)
+	healthy := sinrAB()
+	if healthy < 0 || jammed > healthy-20 {
+		t.Fatalf("SINR jammed %.1f dB, after End %.1f dB: want healthy after End and >= 20 dB worse while jamming", jammed, healthy)
 	}
 }
 

@@ -10,6 +10,7 @@
 package fusion
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -173,10 +174,18 @@ func (t *Tracker) newTrack() *Track {
 	}
 }
 
+// associate returns the track nearest p within the gate; on a tie the later
+// track wins. A track whose |dx| or |dy| alone exceeds the best distance so far
+// is skipped without the Dist call: math.Hypot(dx, dy) >= max(|dx|, |dy|) in
+// every implementation (the portable one and the amd64/386 assembly alike),
+// and a NaN or infinite offset fails the skip test or the Dist test equally.
 func (t *Tracker) associate(p geo.Vec) *Track {
 	var best *Track
 	bestDist := t.opts.GateM
 	for _, tr := range t.tracks {
+		if math.Abs(tr.Pos.X-p.X) > bestDist || math.Abs(tr.Pos.Y-p.Y) > bestDist {
+			continue
+		}
 		if d := tr.Pos.Dist(p); d <= bestDist {
 			best, bestDist = tr, d
 		}

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -187,5 +188,53 @@ func TestPositionBlending(t *testing.T) {
 	}
 	if tracks[0].Pos.X <= 0 || tracks[0].Pos.X >= 2 {
 		t.Fatalf("blended X = %v, want in (0,2)", tracks[0].Pos.X)
+	}
+}
+
+// bruteAssociate is associate without the per-axis pre-check: the full Dist
+// scan it must agree with.
+func bruteAssociate(t *Tracker, p geo.Vec) *Track {
+	var best *Track
+	bestDist := t.opts.GateM
+	for _, tr := range t.tracks {
+		if d := tr.Pos.Dist(p); d <= bestDist {
+			best, bestDist = tr, d
+		}
+	}
+	return best
+}
+
+func TestAssociateMatchesBruteForce(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	special := []geo.Vec{
+		geo.V(3, 0), geo.V(0, -3), // exactly at the default gate from the origin
+		geo.V(1.8, 2.4), // Hypot(1.8, 2.4) == 3 with both offsets inside the gate
+		geo.V(0.3, 0.4), // likewise at the 0.5 m gate
+		geo.V(inf, 0), geo.V(0, -inf), geo.V(inf, -inf),
+		geo.V(nan, 0), geo.V(0, nan), geo.V(nan, inf),
+	}
+	r := rng.New(17)
+	for _, gate := range []float64{0 /* the 3 m default */, 0.5, inf} {
+		for trial := 0; trial < 200; trial++ {
+			tr := NewTracker(Options{GateM: gate})
+			// Positions on a half-metre lattice make equal distances (ties,
+			// where the later track wins) and gate-exact offsets common.
+			for i := r.Intn(12); i > 0; i-- {
+				tr.tracks = append(tr.tracks, &Track{ID: len(tr.tracks), Pos: geo.V(
+					float64(r.Intn(17)-8)/2, float64(r.Intn(17)-8)/2)})
+			}
+			for i := r.Intn(3); i > 0; i-- {
+				tr.tracks = append(tr.tracks, &Track{ID: len(tr.tracks), Pos: special[r.Intn(len(special))]})
+			}
+			queries := append([]geo.Vec{{}, geo.V(float64(r.Intn(9)-4)/2, float64(r.Intn(9)-4)/2),
+				geo.V(r.Range(-5, 5), r.Range(-5, 5))}, special...)
+			for _, q := range queries {
+				got, want := tr.associate(q), bruteAssociate(tr, q)
+				if got != want {
+					t.Fatalf("gate %v, query %v over %d tracks: associate picked %+v, full Dist scan %+v",
+						tr.opts.GateM, q, len(tr.tracks), got, want)
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -179,17 +180,37 @@ type Stats struct {
 
 // Medium is the shared wireless channel. It is single-threaded: all calls
 // must come from simulation events on the owning scheduler.
+//
+// A delivery's link budget costs only what depends on the delivery; every
+// result is bit-identical to evaluating the full formulas per packet:
+//   - the noise floor in mW, its dBm round trip and the jam threshold (ten
+//     times the floor) are constants of the Config, computed once in
+//     NewMedium. When the summed interference is exactly 0 the SINR uses the
+//     precomputed floor, because noiseMW + 0 == noiseMW;
+//   - interference is summed once per delivery, and the drop cause reads that
+//     same sum rather than walking the jammers (and their occlusion paths)
+//     again;
+//   - path loss computes the link distance once and hands it to the foliage
+//     walk, which samples the same Lerp points over the live grid.
 type Medium struct {
-	cfg     Config
-	sched   *simclock.Scheduler
-	grid    *geo.Grid // optional; nil disables foliage loss
-	rand    *rng.Rand
-	nodes   map[NodeID]*Node
-	jammers map[string]*Jammer
-	stats   Stats
-	// order is the deterministic receiver iteration order (sorted node IDs),
-	// maintained on Add/RemoveNode so Transmit does not sort per packet.
-	order []NodeID
+	cfg   Config
+	sched *simclock.Scheduler
+	grid  *geo.Grid // optional; nil disables foliage loss
+	rand  *rng.Rand
+	// nodes is the deterministic receiver iteration order: sorted by ID,
+	// maintained by AddNode so Transmit neither sorts nor looks up per
+	// receiver.
+	nodes   []*Node
+	jammers []*Jammer
+
+	transmissions int64
+	deliveries    int64
+	drops         [DropOffline + 1]int64
+
+	// noiseMW is the noise floor in mW, noiseDBm its dBm round trip and
+	// jamMW the interference above which a loss counts as jammed.
+	noiseMW, noiseDBm, jamMW float64
+
 	// freeDeliveries recycles the scheduled delivery tasks.
 	freeDeliveries []*delivery
 
@@ -200,60 +221,67 @@ type Medium struct {
 
 // NewMedium creates a medium over the given scheduler. grid may be nil.
 func NewMedium(sched *simclock.Scheduler, grid *geo.Grid, r *rng.Rand, cfg Config) *Medium {
+	cfg = cfg.withDefaults()
+	noiseMW := dbmToMW(cfg.NoiseFloorDBm)
 	return &Medium{
-		cfg:     cfg.withDefaults(),
-		sched:   sched,
-		grid:    grid,
-		rand:    r.Derive("radio"),
-		nodes:   make(map[NodeID]*Node),
-		jammers: make(map[string]*Jammer),
-		stats:   Stats{Drops: make(map[string]int64)},
+		cfg:      cfg,
+		sched:    sched,
+		grid:     grid,
+		rand:     r.Derive("radio"),
+		noiseMW:  noiseMW,
+		noiseDBm: mwToDBm(noiseMW),
+		jamMW:    noiseMW * 10,
 	}
+}
+
+// find returns the index of the node with the given ID, or where it would be
+// inserted, and whether it is registered.
+func (m *Medium) find(id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(m.nodes, id, func(n *Node, id NodeID) int { return cmp.Compare(n.ID, id) })
 }
 
 // AddNode registers a radio endpoint. Re-adding an ID replaces the node.
 func (m *Medium) AddNode(n *Node) {
-	if _, exists := m.nodes[n.ID]; !exists {
-		i := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= n.ID })
-		m.order = append(m.order, "")
-		copy(m.order[i+1:], m.order[i:])
-		m.order[i] = n.ID
+	i, exists := m.find(n.ID)
+	if !exists {
+		m.nodes = append(m.nodes, nil)
+		copy(m.nodes[i+1:], m.nodes[i:])
 	}
-	m.nodes[n.ID] = n
-}
-
-// RemoveNode unregisters a radio endpoint.
-func (m *Medium) RemoveNode(id NodeID) {
-	if _, exists := m.nodes[id]; exists {
-		i := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })
-		if i < len(m.order) && m.order[i] == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-		}
-	}
-	delete(m.nodes, id)
+	m.nodes[i] = n
 }
 
 // Node returns the registered node with the given ID, if any.
 func (m *Medium) Node(id NodeID) (*Node, bool) {
-	n, ok := m.nodes[id]
-	return n, ok
+	if i, ok := m.find(id); ok {
+		return m.nodes[i], true
+	}
+	return nil, false
 }
 
-// AddJammer registers an interference source.
-func (m *Medium) AddJammer(j *Jammer) { m.jammers[j.ID] = j }
+// AddJammer registers an interference source. Re-adding an ID replaces the
+// jammer.
+func (m *Medium) AddJammer(j *Jammer) {
+	for i, old := range m.jammers {
+		if old.ID == j.ID {
+			m.jammers[i] = j
+			return
+		}
+	}
+	m.jammers = append(m.jammers, j)
+}
 
-// RemoveJammer unregisters an interference source.
-func (m *Medium) RemoveJammer(id string) { delete(m.jammers, id) }
-
-// Stats returns a copy of the medium counters.
+// Stats returns a copy of the medium counters. Drops holds only the causes
+// that occurred, so it is empty (not nil) before the first drop.
 func (m *Medium) Stats() Stats {
 	out := Stats{
-		Transmissions: m.stats.Transmissions,
-		Deliveries:    m.stats.Deliveries,
-		Drops:         make(map[string]int64, len(m.stats.Drops)),
+		Transmissions: m.transmissions,
+		Deliveries:    m.deliveries,
+		Drops:         make(map[string]int64),
 	}
-	for k, v := range m.stats.Drops {
-		out.Drops[k] = v
+	for c, n := range m.drops {
+		if n > 0 {
+			out.Drops[DropCause(c).String()] = n
+		}
 	}
 	return out
 }
@@ -267,28 +295,27 @@ func (m *Medium) Airtime(size int) time.Duration {
 // Transmit sends p from its sender. Delivery (or silent loss) happens after
 // the frame airtime. It returns an error if the sender is unknown or offline.
 func (m *Medium) Transmit(p Packet) error {
-	tx, ok := m.nodes[p.From]
+	tx, ok := m.Node(p.From)
 	if !ok {
 		return fmt.Errorf("transmit: unknown node %q", p.From)
 	}
 	if !tx.Online {
 		return fmt.Errorf("transmit: node %q is offline", p.From)
 	}
-	m.stats.Transmissions++
+	m.transmissions++
 	airtime := m.Airtime(p.Size)
 	txPos := tx.Pos()
 
-	// m.order is the receivers in deterministic (sorted) order; deliveries
+	// m.nodes is the receivers in deterministic (sorted) order; deliveries
 	// are deferred by airtime, so no node set mutation can happen mid-loop.
-	for _, id := range m.order {
-		if id == p.From {
+	for _, rx := range m.nodes {
+		if rx.ID == p.From {
 			continue
 		}
-		rx := m.nodes[id]
 		if rx.Channel != tx.Channel {
 			continue
 		}
-		if p.To != Broadcast && p.To != id {
+		if p.To != Broadcast && p.To != rx.ID {
 			continue
 		}
 		m.attemptDelivery(p, tx, rx, txPos, airtime)
@@ -301,18 +328,17 @@ func (m *Medium) attemptDelivery(p Packet, tx, rx *Node, txPos geo.Vec, airtime 
 		m.drop(p, rx.ID, 0, DropOffline)
 		return
 	}
-	rxPos := rx.Pos()
-	sinr := m.sinrDB(tx.TxPowerDBm, txPos, rxPos, tx.Channel)
+	sinr, interfMW := m.sinrDB(tx.TxPowerDBm, txPos, rx.Pos(), tx.Channel)
 	perr := m.packetErrorProb(sinr)
 	if m.rand.Bool(perr) {
 		cause := DropWeakSignal
-		if m.interferenceMW(rxPos, tx.Channel) > dbmToMW(m.cfg.NoiseFloorDBm)*10 {
+		if interfMW > m.jamMW {
 			cause = DropJammed
 		}
 		m.drop(p, rx.ID, sinr, cause)
 		return
 	}
-	m.stats.Deliveries++
+	m.deliveries++
 	if m.Observer != nil {
 		m.Observer(p, rx.ID, sinr, DropNone)
 	}
@@ -365,50 +391,45 @@ func (m *Medium) putDelivery(d *delivery) {
 }
 
 func (m *Medium) drop(p Packet, to NodeID, sinr float64, cause DropCause) {
-	m.stats.Drops[cause.String()]++
+	m.drops[cause]++
 	if m.Observer != nil {
 		m.Observer(p, to, sinr, cause)
 	}
 }
 
-// SINRBetween reports the current SINR in dB from node a to node b, for
-// diagnostics and IDS anomaly baselines. It returns false if either node is
-// missing.
-func (m *Medium) SINRBetween(a, b NodeID) (float64, bool) {
-	tx, ok1 := m.nodes[a]
-	rx, ok2 := m.nodes[b]
-	if !ok1 || !ok2 {
-		return 0, false
-	}
-	return m.sinrDB(tx.TxPowerDBm, tx.Pos(), rx.Pos(), tx.Channel), true
-}
-
-func (m *Medium) sinrDB(txPowerDBm float64, txPos, rxPos geo.Vec, channel int) float64 {
+// sinrDB draws the shadowing for one delivery and returns its SINR together
+// with the interference it summed, which decides the drop cause.
+func (m *Medium) sinrDB(txPowerDBm float64, txPos, rxPos geo.Vec, channel int) (sinr, interfMW float64) {
 	rxPower := txPowerDBm - m.pathLossDB(txPos, rxPos)
 	rxPower += m.rand.Norm(0, m.cfg.ShadowSigmaDB)
-	interfMW := m.interferenceMW(rxPos, channel)
-	totalNoiseMW := dbmToMW(m.cfg.NoiseFloorDBm) + interfMW
-	return rxPower - mwToDBm(totalNoiseMW)
+	interfMW = m.interferenceMW(rxPos, channel)
+	noiseDBm := m.noiseDBm
+	if interfMW != 0 {
+		noiseDBm = mwToDBm(m.noiseMW + interfMW)
+	}
+	return rxPower - noiseDBm, interfMW
 }
 
 func (m *Medium) pathLossDB(a, b geo.Vec) float64 {
-	d := a.Dist(b)
+	dist := a.Dist(b)
+	d := dist
 	if d < 1 {
 		d = 1
 	}
 	loss := m.cfg.RefLossDB + 10*m.cfg.PathLossExponent*math.Log10(d)
 	if m.grid != nil {
-		loss += m.cfg.FoliageLossDB * float64(m.occludingCells(a, b))
+		loss += m.cfg.FoliageLossDB * float64(m.occludingCells(a, b, dist))
 	}
 	return loss
 }
 
-// occludingCells counts tree/rock cells along the propagation path, capped so
-// a deep-forest link saturates rather than becoming -inf.
-func (m *Medium) occludingCells(a, b geo.Vec) int {
+// occludingCells counts tree/rock cells along the propagation path from a to
+// b (dist apart), capped so a deep-forest link saturates rather than becoming
+// -inf.
+func (m *Medium) occludingCells(a, b geo.Vec, dist float64) int {
 	const cap = 20
 	n := 0
-	steps := int(a.Dist(b)/m.grid.CellSize()) + 1
+	steps := int(dist/m.grid.CellSize()) + 1
 	for i := 1; i < steps; i++ {
 		p := a.Lerp(b, float64(i)/float64(steps))
 		if m.grid.OccludedAt(p) {

@@ -243,22 +243,17 @@ func TestFoliageAttenuation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGrid: %v", err)
 	}
-	m := NewMedium(sched, grid, rng.New(5), Config{ShadowSigmaDB: 0.001})
-	a := staticNode("a", geo.V(0.5, 0.5), 1)
-	b := staticNode("b", geo.V(80.5, 0.5), 1)
-	m.AddNode(a)
-	m.AddNode(b)
-	clearSINR, ok := m.SINRBetween("a", "b")
-	if !ok {
-		t.Fatal("SINRBetween failed")
-	}
-	// Plant a dense grove between them.
+	m := NewMedium(sched, grid, rng.New(5), Config{})
+	a, b := geo.V(0.5, 0.5), geo.V(80.5, 0.5)
+	clearLoss := m.pathLossDB(a, b)
+	// Plant a dense grove between them after the medium exists: the foliage
+	// walk reads the live grid.
 	for col := 20; col < 60; col++ {
 		grid.Set(geo.C(col, 0), geo.Tree)
 	}
-	groveSINR, _ := m.SINRBetween("a", "b")
-	if groveSINR >= clearSINR-5 {
-		t.Fatalf("foliage attenuation too weak: clear %.1f dB vs grove %.1f dB", clearSINR, groveSINR)
+	groveLoss := m.pathLossDB(a, b)
+	if groveLoss <= clearLoss+5 {
+		t.Fatalf("foliage attenuation too weak: clear %.1f dB vs grove %.1f dB path loss", clearLoss, groveLoss)
 	}
 }
 
@@ -290,9 +285,13 @@ func TestAirtimeScalesWithSize(t *testing.T) {
 	}
 }
 
+// The empty map matters: Report.Radio serialises it as {} rather than null.
 func TestStatsCopyIsolated(t *testing.T) {
 	f := newFixture(t)
 	s := f.medium.Stats()
+	if s.Drops == nil || len(s.Drops) != 0 {
+		t.Fatalf("Drops = %#v before any drop, want an empty non-nil map", s.Drops)
+	}
 	s.Drops["weak-signal"] = 999
 	if f.medium.Stats().Drops["weak-signal"] == 999 {
 		t.Fatal("Stats returned a live reference")
