@@ -138,13 +138,15 @@ func TestLinkBudgetMatchesReference(t *testing.T) {
 		nodes   []*Node
 		jammers []*Jammer
 	}
-	// Nodes a..d on channel 1, e and f on channel 2; d is offline and c is at the
-	// edge of range, so weak-signal, jammed and offline drops all occur.
+	// Nodes a, a2, b, c and d on channel 1, e and f on channel 2; d is
+	// offline and c is at the edge of range, so weak-signal, jammed and
+	// offline drops all occur.
 	base := func() []*Node {
 		d := staticNode("d", geo.V(30, 30), 1)
 		d.Online = false
 		return []*Node{
 			staticNode("a", geo.V(10, 10), 1),
+			staticNode("a2", geo.V(10.3, 10.4), 1), // 0.5 m from a: the 1 m path-loss clamp
 			staticNode("b", geo.V(60, 40), 1),
 			staticNode("c", geo.V(190, 180), 1),
 			d,

@@ -412,11 +412,7 @@ func (m *Medium) sinrDB(txPowerDBm float64, txPos, rxPos geo.Vec, channel int) (
 
 func (m *Medium) pathLossDB(a, b geo.Vec) float64 {
 	dist := a.Dist(b)
-	d := dist
-	if d < 1 {
-		d = 1
-	}
-	loss := m.cfg.RefLossDB + 10*m.cfg.PathLossExponent*math.Log10(d)
+	loss := m.cfg.RefLossDB + 10*m.cfg.PathLossExponent*math.Log10(max(dist, 1))
 	if m.grid != nil {
 		loss += m.cfg.FoliageLossDB * float64(m.occludingCells(a, b, dist))
 	}
