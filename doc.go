@@ -42,10 +42,13 @@
 //     quotas and graceful drain. A daemon run's report is byte-identical
 //     to an in-process worksim run at the same parameters.
 //
-// Performance: the per-tick control loop is allocation-free in steady state
-// (scratch buffers, pooled tracks/frames/events, an append-style wire
-// encoder and a fast-path parser over one closed grammar), locked at
-// 0 allocs/op by TestTickLoopZeroAllocs. See the README's
+// Performance: on honest traffic the per-tick control loop is
+// allocation-free in steady state (scratch buffers, pooled
+// tracks/frames/events, an append-style wire encoder, and decode-once: a
+// delivered payload byte-equal to one just sent is dispatched from the
+// sender's snapshot), locked at 0 allocs/op by TestTickLoopZeroAllocs. A
+// forged or stale payload is decoded by encoding/json and allocates; no
+// alloc lock covers attack windows. See the README's
 // "Performance" section for how to time it.
 //
 // Execution is context-aware end to end: Session.RunFor/RunUntil/Run and

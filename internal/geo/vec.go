@@ -28,9 +28,6 @@ func (v Vec) Sub(o Vec) Vec { return Vec{X: v.X - o.X, Y: v.Y - o.Y} }
 // Scale returns v scaled by s.
 func (v Vec) Scale(s float64) Vec { return Vec{X: v.X * s, Y: v.Y * s} }
 
-// Dot returns the dot product of v and o.
-func (v Vec) Dot(o Vec) float64 { return v.X*o.X + v.Y*o.Y }
-
 // Len returns the Euclidean length of v.
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 

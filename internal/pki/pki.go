@@ -131,9 +131,6 @@ type Identity struct {
 // Sign signs msg with the identity's private key.
 func (id Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
 
-// PublicKey returns the identity's public key.
-func (id Identity) PublicKey() ed25519.PublicKey { return id.Cert.PublicKey }
-
 // CA is the worksite certificate authority.
 type CA struct {
 	ident      Identity
@@ -223,10 +220,9 @@ type Verifier struct {
 	// AllowedRoles, when non-empty, restricts which roles verify successfully.
 	AllowedRoles map[Role]struct{}
 
-	// tbsScratch is the reusable to-be-signed encoding buffer for Verify.
-	// Verifiers are not safe for concurrent Verify calls (they never were:
-	// UpdateCRL already races with Verify); each handshake runner owns or
-	// serialises its verifier.
+	// tbsScratch is the reusable to-be-signed encoding buffer for Verify,
+	// which therefore must not run concurrently on one Verifier; each
+	// handshake runner owns or serialises its verifier.
 	tbsScratch []byte
 }
 
@@ -234,9 +230,6 @@ type Verifier struct {
 func NewVerifier(anchor Certificate, crl map[uint64]struct{}) *Verifier {
 	return &Verifier{anchor: anchor, crl: crl}
 }
-
-// UpdateCRL replaces the verifier's revocation snapshot.
-func (v *Verifier) UpdateCRL(crl map[uint64]struct{}) { v.crl = crl }
 
 // Verify checks cert at virtual time now. It returns nil if the certificate
 // chains to the anchor, is within validity, not revoked, and (if role policy

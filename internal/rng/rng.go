@@ -100,9 +100,6 @@ func (r *Rand) Read(p []byte) (int, error) { return r.src.Read(p) }
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // Pick returns a uniformly chosen index weighted by weights. Weights must be
 // non-negative; if all weights are zero Pick returns 0.
 func (r *Rand) Pick(weights []float64) int {

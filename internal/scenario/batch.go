@@ -42,9 +42,6 @@ func NewBatch(spec Spec) (*Batch, error) {
 	return &Batch{spec: spec, shared: shared}, nil
 }
 
-// Spec returns the batch's compiled spec.
-func (b *Batch) Spec() Spec { return b.spec }
-
 // Build compiles one per-seed session over the batch's commissioned state
 // (see the package-level Build for the contract).
 func (b *Batch) Build(seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {

@@ -20,9 +20,11 @@ import (
 )
 
 // wireMsg is the application-layer envelope exchanged between worksite
-// actors. Its JSON form is json.Marshal's; appendWireMsg and
-// fastParseWireMsg (wirecodec.go) hand-code that form, so a field or tag
-// change here must be mirrored there.
+// actors. Its JSON form is json.Marshal's, and json.Unmarshal decodes it.
+// appendWireMsg (wirecodec.go) hand-codes that form and sentRing.record
+// what json.Unmarshal makes of it, so a field or tag change here must be
+// mirrored there; TestEncoderCasesCoverEveryField fails until the encoder
+// cases exercise a new field.
 type wireMsg struct {
 	Type string `json:"type"` // heartbeat | status | detections | command
 	From string `json:"from"`
@@ -149,15 +151,14 @@ func (s *Site) staticPos(p geo.Vec) func() geo.Vec {
 	return func() geo.Vec { return p }
 }
 
-// commissionPKI adopts the commissioned security bundle: the site CA and
-// the pairwise secure channels, established over a trusted link (the depot)
-// at commissioning, mirroring real fleet onboarding; subsequent records
-// travel over the air. The expensive half — keygen, issuance, handshakes —
+// commissionPKI adopts the commissioned security bundle: the pairwise
+// secure channels, established over a trusted link (the depot) at
+// commissioning, mirroring real fleet onboarding; subsequent records travel
+// over the air. The expensive half — keygen, issuance, handshakes —
 // happened once in CommissionSecurity, so this session only forks the
 // established channels. A fork of endpoint {local, peer} seals on the link
 // local -> peer and opens on the link peer -> local.
 func (s *Site) commissionPKI(b *securityBundle) error {
-	s.ca = b.ca
 	// Sorted keys: should two forks ever fail, the reported error must not
 	// depend on map iteration order.
 	keys := make([]chanKey, 0, len(b.channels))
@@ -181,10 +182,9 @@ func (s *Site) commissionPKI(b *securityBundle) error {
 	return nil
 }
 
-// securityBundle is the output of security commissioning: the site CA and
-// the established pairwise channels, keyed from each endpoint's side.
+// securityBundle is the output of security commissioning: the established
+// pairwise channels, keyed from each endpoint's side.
 type securityBundle struct {
-	ca       *pki.CA
 	channels map[chanKey]*securechan.Channel
 }
 
@@ -221,7 +221,7 @@ func buildSecurity(droneEnabled bool, r *rng.Rand) (*securityBundle, error) {
 
 	verifier := pki.NewVerifier(ca.Cert(), ca.CRL())
 	pairs := linkPairs(droneEnabled)
-	b := &securityBundle{ca: ca, channels: make(map[chanKey]*securechan.Channel, 2*len(pairs))}
+	b := &securityBundle{channels: make(map[chanKey]*securechan.Channel, 2*len(pairs))}
 	hr := r.Derive("handshakes")
 	for _, p := range pairs {
 		init := securechan.NewInitiator(idents[p[0]], verifier, securechan.Options{
@@ -477,8 +477,9 @@ func (s *Site) handleAppPayload(l *link, local, from radio.NodeID, payload []byt
 	}
 	// Decode once: a plaintext byte-equal to a message this site just sent
 	// on the link dispatches that message's snapshot, which is exactly what
-	// parsing the bytes would yield. Every other payload — replayed past
-	// the ring, tampered, injected or attack-built — is parsed below.
+	// decoding the bytes would yield. Every other payload — replayed past
+	// the ring, tampered, injected or attack-built — is decoded below, into
+	// a fresh message: json.Unmarshal merges into whatever it is given.
 	if l != nil {
 		if m := l.sent.lookup(payload); m != nil {
 			s.wireHits++
@@ -487,24 +488,11 @@ func (s *Site) handleAppPayload(l *link, local, from radio.NodeID, payload []byt
 		}
 	}
 	s.wireParses++
-	// Parse into the reused receive scratch: the fast path covers everything
-	// appendWireMsg emits for the simulator's own messages; anything else
-	// (hostile or malformed input) falls back to encoding/json for the
-	// authoritative verdict. The fallback decodes into a fresh message — the
-	// stdlib merges into within-capacity slice elements without zeroing
-	// them, so reusing the scratch there would leak fields of an earlier
-	// message into this one.
-	msg := &s.recvMsg
-	*msg = wireMsg{Detections: msg.Detections[:0]}
-	if !fastParseWireMsg(payload, msg, s.intern) {
-		var fallback wireMsg
-		if err := json.Unmarshal(payload, &fallback); err != nil {
-			return
-		}
-		s.dispatch(local, from, fallback)
+	var msg wireMsg
+	if err := json.Unmarshal(payload, &msg); err != nil {
 		return
 	}
-	s.dispatch(local, from, *msg)
+	s.dispatch(local, from, msg)
 }
 
 func (s *Site) dispatch(local, from radio.NodeID, msg wireMsg) {
@@ -512,8 +500,9 @@ func (s *Site) dispatch(local, from radio.NodeID, msg wireMsg) {
 	case local == NodeForwarder && msg.Type == "heartbeat":
 		s.watchdog.Beat(s.sched.Now())
 	case local == NodeForwarder && msg.Type == "detections":
-		// Copy out of the receive scratch: droneDets must stay valid across
-		// ticks while the scratch is reused on the next message.
+		// Copy out of the message: droneDets must stay valid across ticks,
+		// and a ring snapshot's detections are reused when its slot is
+		// recorded over.
 		s.droneDets = append(s.droneDets[:0], msg.Detections...)
 		s.droneDetsAt = s.sched.Now()
 	case local == NodeForwarder && msg.Type == "command":

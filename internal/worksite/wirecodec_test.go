@@ -11,40 +11,6 @@ import (
 	"repro/internal/sensors"
 )
 
-// checkAgainstStdlib runs one input through the fast parser and asserts its
-// contract: whenever the fast path accepts, encoding/json must accept the
-// same bytes and produce an identical message. (The fast path rejecting is
-// always fine — the caller falls back to the stdlib.)
-func checkAgainstStdlib(t *testing.T, payload []byte) {
-	t.Helper()
-	intern := make(internTable)
-	var fast wireMsg
-	ok := fastParseWireMsg(payload, &fast, intern)
-
-	var std wireMsg
-	err := json.Unmarshal(payload, &std)
-	if !ok {
-		return
-	}
-	if err != nil {
-		t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", err, payload)
-	}
-	if !sameParse(fast, std) {
-		t.Fatalf("fast path diverges from stdlib on %q:\nfast: %+v\nstd:  %+v", payload, fast, std)
-	}
-}
-
-// sameParse compares a fast-path parse with the stdlib's decode of the same
-// bytes. nil-vs-empty detections is the one representational difference
-// the scratch reuse introduces (the consumers only look at len), so an
-// empty list on both sides matches; everything else must be identical.
-func sameParse(fast, std wireMsg) bool {
-	if len(fast.Detections) == 0 && len(std.Detections) == 0 {
-		fast.Detections, std.Detections = nil, nil
-	}
-	return identical(fast, std)
-}
-
 // identical reports whether a and b are the same bit for bit. Unlike
 // reflect.DeepEqual it tells -0 from +0 (floats compare by their IEEE
 // bits) and a nil slice from an empty one.
@@ -100,118 +66,10 @@ func TestIdenticalTellsSignedZeroAndNil(t *testing.T) {
 	}
 }
 
-// TestWireCodecDifferential feeds the codec every message shape the worksite
-// actually sends — the encoder must match json.Marshal on each, and the
-// parser must accept the result — plus edge and hostile inputs, checking
-// equivalence with encoding/json.
-func TestWireCodecDifferential(t *testing.T) {
-	msgs := []wireMsg{
-		{},
-		{Type: "heartbeat", From: "coordinator"},
-		{Type: "status", From: "forwarder-1", PosX: 123.456789012345, PosY: -0.000123,
-			State: "driving", GNSSOK: true, GNSSWhy: ""},
-		{Type: "status", From: "forwarder-1", PosX: 1e21, PosY: -1e-7,
-			GNSSOK: false, GNSSWhy: "position jump exceeds max speed"},
-		{Type: "command", From: "coordinator", Command: "clear-stops", Seq: 18446744073709551615},
-		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
-			{TargetID: "worker-1", Pos: geo.V(200.123456789, 199.55), Confidence: 0.92, Sensor: "aerial-camera"},
-			{TargetID: "", Pos: geo.V(-3.5, 0), Confidence: 0.31, Sensor: "camera", FalsePositive: true},
-		}},
-		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{}},
-	}
-	for _, m := range msgs {
-		checkEncodeAgainstStdlib(t, &m)
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstStdlib(t, data)
-
-		// The fast path must accept its own production grammar: a rejected
-		// self-encoded message would silently fall back every tick.
-		intern := make(internTable)
-		var fast wireMsg
-		if !fastParseWireMsg(data, &fast, intern) {
-			t.Fatalf("fast path rejected self-encoded message %q", data)
-		}
-	}
-
-	edgeInputs := []string{
-		``, `{}`, `null`, `true`, `42`, `"str"`, `[]`,
-		`{"type":"heartbeat"`,                             // truncated
-		`{"type":"heartbeat",}`,                           // trailing comma
-		`{"type":"heartbeat"} garbage`,                    // trailing bytes
-		`{"type": "heartbeat" , "from" : "coordinator" }`, // whitespace
-		`{"TYPE":"heartbeat"}`,                            // case-insensitive stdlib match
-		`{"type":"he\u0061rtbeat"}`,                       // escape
-		`{"type":"tick\ttock"}`,                           // raw control char (invalid JSON)
-		`{"unknown":{"nested":[1,2,{"x":3}]},"type":"x"}`, // unknown keys
-		`{"seq":-1}`, `{"seq":1.5}`, `{"seq":1e3}`,        // non-uint seq forms
-		`{"posX":0.1e+5,"posY":-0}`,                   // exotic but valid numbers
-		`{"posX":00.1}`, `{"posX":.5}`, `{"posX":5.}`, // invalid numbers
-		`{"posX":0x1p3}`, `{"posX":Inf}`, `{"posX":NaN}`, // ParseFloat-only forms
-		`{"gnssOk":1}`, `{"gnssOk":"true"}`, // non-bool bools
-		`{"detections":null}`,                                // null array
-		`{"detections":[null]}`,                              // null element
-		`{"detections":[{"pos":{"x":1,"y":2,"z":3}}]}`,       // unknown vec key
-		`{"detections":[{"targetId":"w","pos":{"x":1}}]}`,    // partial vec
-		`{"type":"detections","detections":[]}`,              // empty array
-		`{"type":"a","type":"b"}`,                            // duplicate key
-		`{"detections":[{"confidence":1},{"confidence":2}]}`, // multiple elements
-		`{"type":"x","detections":[{"falsePositive":true}],"command":"pause"}`,
-		"{\"type\":\"caf\xc3\xa9\"}",                // non-ASCII UTF-8
-		"{\"type\":\"bad\xff\xfe\"}",                // invalid UTF-8 (stdlib coerces; fast must reject)
-		`{"posX":123456789012345678901234567890.5}`, // huge mantissa
-		`{"seq":18446744073709551616}`,              // uint64 overflow
-	}
-	for _, in := range edgeInputs {
-		checkAgainstStdlib(t, []byte(in))
-	}
-}
-
-// TestWireCodecScratchReuse exercises the production calling pattern: one
-// scratch message decoded repeatedly with interning, ensuring a later decode
-// fully overwrites an earlier one.
-func TestWireCodecScratchReuse(t *testing.T) {
-	intern := make(internTable)
-	var msg wireMsg
-
-	decode := func(m wireMsg) wireMsg {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg = wireMsg{Detections: msg.Detections[:0]}
-		if !fastParseWireMsg(data, &msg, intern) {
-			t.Fatalf("fast path rejected %q", data)
-		}
-		return msg
-	}
-
-	full := wireMsg{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
-		{TargetID: "worker-2", Pos: geo.V(1, 2), Confidence: 0.5, Sensor: "aerial-camera"},
-	}}
-	got := decode(full)
-	if got.Type != "detections" || len(got.Detections) != 1 || got.Detections[0].TargetID != "worker-2" {
-		t.Fatalf("first decode wrong: %+v", got)
-	}
-	first := got.Detections[0]
-
-	got = decode(wireMsg{Type: "heartbeat", From: "coordinator"})
-	if got.Type != "heartbeat" || got.From != "coordinator" || len(got.Detections) != 0 {
-		t.Fatalf("scratch not fully overwritten: %+v", got)
-	}
-
-	// Interning must hand back the same string backing across decodes.
-	got = decode(full)
-	if got.Detections[0].TargetID != first.TargetID || got.Detections[0].Sensor != first.Sensor {
-		t.Fatalf("re-decode differs: %+v", got.Detections[0])
-	}
-}
-
-// FuzzWireCodec drives the differential check with arbitrary bytes: the fast
-// parser must never accept anything encoding/json rejects, nor produce a
-// different message for anything both accept.
+// FuzzWireCodec drives the codec's two stdlib oracles with arbitrary bytes:
+// for every message json.Unmarshal makes of them, and for one carrying the
+// raw bytes in a string field, appendWireMsg must emit json.Marshal's bytes
+// and the sent ring's snapshot must be json.Unmarshal's message.
 func FuzzWireCodec(f *testing.F) {
 	seeds := []string{
 		`{"type":"heartbeat","from":"coordinator"}`,
@@ -228,8 +86,7 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var std wireMsg
-		stdErr := json.Unmarshal(data, &std)
-		if stdErr == nil {
+		if err := json.Unmarshal(data, &std); err == nil {
 			checkEncodeAgainstStdlib(t, &std)
 			checkSnapshotAgainstStdlib(t, &std)
 		}
@@ -243,18 +100,6 @@ func FuzzWireCodec(f *testing.F) {
 			*fields[int(data[0])%len(fields)] = string(data[1:])
 			checkEncodeAgainstStdlib(t, &rawMsg)
 			checkSnapshotAgainstStdlib(t, &rawMsg)
-		}
-
-		intern := make(internTable)
-		var fast wireMsg
-		if !fastParseWireMsg(data, &fast, intern) {
-			return
-		}
-		if stdErr != nil {
-			t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", stdErr, data)
-		}
-		if !sameParse(fast, std) {
-			t.Fatalf("divergence on %q:\nfast: %+v\nstd:  %+v", data, fast, std)
 		}
 	})
 }
@@ -370,7 +215,7 @@ func TestAppendWireMsgMatchesMarshal(t *testing.T) {
 }
 
 // encoderCases is the encoder's edge table, shared by the encoder and
-// snapshot tests.
+// snapshot tests. TestEncoderCasesCoverEveryField keeps it complete.
 func encoderCases() []wireMsg {
 	det := sensors.Detection{TargetID: "worker-1", Pos: geo.V(200.5, -3), Confidence: 0.92, Sensor: "aerial-camera"}
 	var msgs []wireMsg
@@ -430,6 +275,20 @@ func encoderCases() []wireMsg {
 		wireMsg{Type: "detections", Detections: nil},
 		wireMsg{Type: "detections", Detections: []sensors.Detection{}})
 
+	// The shapes the worksite sends, with production names and values.
+	msgs = append(msgs,
+		wireMsg{Type: "heartbeat", From: "coordinator"},
+		wireMsg{Type: "status", From: "forwarder-1", PosX: 123.456789012345, PosY: -0.000123,
+			State: "driving", GNSSOK: true},
+		wireMsg{Type: "status", From: "forwarder-1", PosX: 1e21, PosY: -1e-7,
+			GNSSWhy: "position jump exceeds max speed"},
+		wireMsg{Type: "command", From: "coordinator", Command: "clear-stops", Seq: 18446744073709551615},
+		wireMsg{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
+			{TargetID: "worker-1", Pos: geo.V(200.123456789, 199.55), Confidence: 0.92, Sensor: "aerial-camera"},
+			{TargetID: "", Pos: geo.V(-3.5, 0), Confidence: 0.31, Sensor: "camera", FalsePositive: true},
+		}},
+		wireMsg{Type: "detections", From: "drone-1", Detections: []sensors.Detection{}})
+
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad := det
 		bad.Confidence = f
@@ -441,6 +300,47 @@ func encoderCases() []wireMsg {
 			wireMsg{Type: "detections", Detections: []sensors.Detection{{Pos: geo.V(0, f)}}})
 	}
 	return msgs
+}
+
+// TestEncoderCasesCoverEveryField fails when a field of wireMsg, or of the
+// sensors.Detection and geo.Vec inside it, is zero in every encoderCases
+// entry. appendWireMsg and sentRing.record hand-code every field, so a field
+// added to the wire format must reach the encoder and snapshot oracles.
+func TestEncoderCasesCoverEveryField(t *testing.T) {
+	set := map[string]bool{} // field path -> non-zero in some case
+	var walk func(typ reflect.Type, v reflect.Value, prefix string)
+	walk = func(typ reflect.Type, v reflect.Value, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := prefix + f.Name
+			var fv reflect.Value
+			if v.IsValid() {
+				fv = v.Field(i)
+			}
+			set[path] = set[path] || fv.IsValid() && !fv.IsZero()
+			switch {
+			case f.Type.Kind() == reflect.Struct:
+				walk(f.Type, fv, path+".")
+			case f.Type.Kind() == reflect.Slice && f.Type.Elem().Kind() == reflect.Struct:
+				walk(f.Type.Elem(), reflect.Value{}, path+"[].")
+				for j := 0; fv.IsValid() && j < fv.Len(); j++ {
+					walk(f.Type.Elem(), fv.Index(j), path+"[].")
+				}
+			}
+		}
+	}
+	walk(reflect.TypeOf(wireMsg{}), reflect.Value{}, "")
+	for _, m := range encoderCases() {
+		walk(reflect.TypeOf(m), reflect.ValueOf(m), "")
+	}
+	for path, nonZero := range set {
+		if !nonZero {
+			t.Errorf("wireMsg.%s is zero in every encoderCases entry", path)
+		}
+	}
+	if len(set) < 16 {
+		t.Fatalf("walked %d fields, want at least wireMsg's 9, Detection's 5 and Vec's 2", len(set))
+	}
 }
 
 // TestSendDropsUnencodableMessage locks the send path's failure mode: a
@@ -492,35 +392,12 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecode is the wire-decode rung: one fast-path parse into the
-// reused receive scratch with interning, as handleAppPayload does.
-func BenchmarkWireDecode(b *testing.B) {
-	msg := benchWireMsg()
-	payload, ok := appendWireMsg(nil, &msg)
-	if !ok {
-		b.Fatal("encode failed")
-	}
-	intern := make(internTable)
-	var dst wireMsg
-	fastParseWireMsg(payload, &dst, intern) // fill the intern table and slice
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = wireMsg{Detections: dst.Detections[:0]}
-		if !fastParseWireMsg(payload, &dst, intern) {
-			b.Fatal("decode rejected its own encoding")
-		}
-	}
-}
-
-// TestFallbackDecodeDoesNotLeakScratch locks the fix for a scratch-reuse
-// bug: when a message falls back to encoding/json (here forced via an escape
-// sequence), the decode must start from a zero message — the stdlib merges
-// into within-capacity slice elements without zeroing, so decoding into the
-// reused scratch would leak fields of an earlier detections message into the
-// new one.
-func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
+// TestDecodeDoesNotLeakPreviousMessage locks the receive path's one decode
+// rule: a payload the sent ring does not know is decoded into a fresh
+// message. json.Unmarshal merges into whatever it is given, including the
+// within-capacity elements of a reused detections slice, so a reused decode
+// target would leak fields of an earlier message into a sparse later one.
+func TestDecodeDoesNotLeakPreviousMessage(t *testing.T) {
 	site, err := New(DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -531,18 +408,20 @@ func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 	l := site.links[chanKey{NodeDrone, NodeForwarder}]
 	site.handleAppPayload(l, NodeForwarder, NodeDrone, full)
 	if len(site.droneDets) != 1 || site.droneDets[0].Confidence != 0.92 {
-		t.Fatalf("fast-path decode wrong: %+v", site.droneDets)
+		t.Fatalf("full decode wrong: %+v", site.droneDets)
 	}
 
-	// The \u0041 escape forces the stdlib fallback; every omitted field must
-	// be zero.
-	sparse := []byte(`{"type":"detections","from":"drone-1","detections":[{"targetId":"x\u0041"}]}`)
+	// Every field the sparse payload omits must be zero.
+	sparse := []byte(`{"type":"detections","from":"drone-1","detections":[{"targetId":"xA"}]}`)
 	site.handleAppPayload(l, NodeForwarder, NodeDrone, sparse)
 	got := site.droneDets
 	if len(got) != 1 || got[0].TargetID != "xA" {
-		t.Fatalf("fallback decode wrong: %+v", got)
+		t.Fatalf("sparse decode wrong: %+v", got)
 	}
-	if got[0].Confidence != 0 || got[0].Sensor != "" || got[0].FalsePositive {
-		t.Fatalf("fallback decode leaked fields from the previous message: %+v", got[0])
+	if got[0].Confidence != 0 || got[0].Sensor != "" || got[0].FalsePositive || got[0].Pos != (geo.Vec{}) {
+		t.Fatalf("sparse decode leaked fields from the previous message: %+v", got[0])
+	}
+	if hits, parses := site.wireHits, site.wireParses; hits != 0 || parses != 2 {
+		t.Fatalf("decode split = %d hits, %d parses; want both payloads decoded", hits, parses)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/machine"
 	"repro/internal/netsim"
-	"repro/internal/pki"
 	"repro/internal/radio"
 	"repro/internal/risk"
 	"repro/internal/rng"
@@ -206,7 +205,6 @@ type Site struct {
 	adapters map[radio.NodeID]*netsim.Adapter
 	links    map[chanKey]*link // application links, keyed {from, to}
 	engine   *ids.Engine
-	ca       *pki.CA
 	assessor *risk.ContinuousAssessor
 	mode     risk.OperatingMode
 	lastHop  time.Duration
@@ -241,19 +239,17 @@ type Site struct {
 
 	// Per-tick scratch state. The control loop runs at 2 Hz for every
 	// simulated machine-minute, so its working set is reused tick over tick:
-	// target/detection/position buffers, the wire-message send buffer, and
-	// the receive-side parse scratch. A steady-state tick performs zero heap
-	// allocations (locked by TestTickLoopZeroAllocs).
+	// target/detection/position buffers and the wire-message send buffer. A
+	// steady-state tick performs zero heap allocations (locked by
+	// TestTickLoopZeroAllocs).
 	ticksPerSec      int
 	scratchTargets   []sensors.Target
 	scratchDets      []sensors.Detection
 	scratchPositions []geo.Vec
 	wireBuf          []byte
-	recvMsg          wireMsg
-	intern           internTable
 
 	// Receive-side decode split: payloads dispatched from a link's sent
-	// ring versus payloads handed to the parser. Test-only observability;
+	// ring versus payloads handed to json.Unmarshal. Test-only observability;
 	// not part of Report.
 	wireHits, wireParses int
 
@@ -337,7 +333,6 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		grid:     grid,
 		adapters: make(map[radio.NodeID]*netsim.Adapter),
 		mission:  phaseToHarvest,
-		intern:   make(internTable),
 	}
 	s.ticksPerSec = ticksPerSecond(cfg.TickPeriod)
 	s.landing = geo.V(0.15*grid.Width(), 0.5*grid.Height())
@@ -432,18 +427,6 @@ func (s *Site) IDS() *ids.Engine { return s.engine }
 
 // Forwarder returns the forwarder machine.
 func (s *Site) Forwarder() *machine.Machine { return s.forwarder }
-
-// Drone returns the drone machine, nil when disabled.
-func (s *Site) Drone() *machine.Machine { return s.drone }
-
-// Landing returns the landing-area centre.
-func (s *Site) Landing() geo.Vec { return s.landing }
-
-// Harvest returns the harvest-site centre.
-func (s *Site) Harvest() geo.Vec { return s.harvest }
-
-// CA returns the worksite certificate authority (secured profile only).
-func (s *Site) CA() *pki.CA { return s.ca }
 
 // OperatingMode returns the coordinator's current live-risk operating mode
 // (ModeNormal when continuous risk assessment is disabled).
